@@ -290,8 +290,9 @@ def subsample_labeled(ds, fraction, seed):
 def batches(ds, batch_size, shuffle=False, seed=0, epoch=0):
     """Yield (images, labels) covering the dataset once.
 
-    The shuffle order is a pure function of (seed, epoch); the last
-    batch may be short.
+    `ds` is a Dataset or anything with its `images`, `labels` and
+    length, such as the N1 features of one.  The shuffle order is a pure
+    function of (seed, epoch); the last batch may be short.
     """
     if batch_size < 1:
         raise DataError(f"batch_size must be positive, got {batch_size}")

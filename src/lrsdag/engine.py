@@ -148,17 +148,45 @@ def stopping_check(history, threshold):
     return len(history) >= 2 and abs(history[-1] - history[-2]) < threshold
 
 
+@dataclass(frozen=True)
+class _SplitInputs:
+    """n1 output over a dataset, in the form `data.batches` reads."""
+
+    images: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self):
+        return len(self.labels)
+
+
+def _training_inputs(net, ds):
+    """What each training step feeds the network, and the pass taking it.
+
+    With every n1 layer frozen, f(x) is a constant of the fit: n1 runs
+    once over the whole set and each step runs only the encoder and n2.
+    Otherwise steps take the images and run the whole network.
+    """
+    if len(ds) == 0:
+        raise EngineError(f"{ds.name} {ds.split} set is empty; nothing to train on")
+    if all(layer.frozen for layer in net.n1):
+        feats = evaluate.feature_matrix(net, ds)
+        return (_SplitInputs(feats.reshape((len(ds),) + net.split_shape), ds.labels),
+                net.head)
+    return ds, net.forward
+
+
 def _train_cross_entropy(net, ds, cfg, seed, tag, epochs, stop_threshold=None):
     """Shared cross-entropy loop; frozen layers never step."""
     opt = nn.Adam(net.layers(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     shuffle_seed = derive_int(seed, "epochs", tag)
+    inputs, run = _training_inputs(net, ds)
     history = []
     for epoch in range(epochs):
         total, count = 0.0, 0
-        for images, labels in data.batches(ds, cfg.batch_size, shuffle=True,
-                                           seed=shuffle_seed, epoch=epoch):
+        for x, labels in data.batches(inputs, cfg.batch_size, shuffle=True,
+                                      seed=shuffle_seed, epoch=epoch):
             try:
-                _, logits = net.forward(images)
+                _, logits = run(x)
                 value = tc.cross_entropy(logits, labels)
                 if not math.isfinite(value):
                     raise NonFiniteLoss(f"non-finite loss at epoch {epoch}", epoch)
@@ -180,8 +208,6 @@ def train_source(net, source_train, cfg, seed=None, checkpoint_path=None):
     """Phase 1: train the encoder-less classifier on the source domain."""
     if net.encoder is not None:
         raise nn.EncoderAlreadyPresent("phase-1 training expects no encoder")
-    if len(source_train) == 0:
-        raise EngineError("source training set is empty")
     seed = cfg.seed if seed is None else seed
     history = _train_cross_entropy(net, source_train, cfg, seed, "source",
                                    cfg.source_epochs)
@@ -194,10 +220,13 @@ def train_source(net, source_train, cfg, seed=None, checkpoint_path=None):
 def adapt(net, target_train, sampler, loss_spec, cfg, seed=None):
     """Phase 2: insert the encoder and align target features to source.
 
-    N1 and N2 are frozen; only encoder parameters step.  Batches too
-    small for covariance-based alignment terms (last short batch of
-    size 1) are skipped.  Stops on the epoch-loss delta falling under
-    cfg.stop_threshold or after cfg.max_adapt_epochs.
+    N1 and N2 are frozen; only encoder parameters step.  The N1 features
+    f(T) of the whole target set are computed once, before the first
+    epoch; each step runs the encoder and N2 on its rows of them, and
+    backpropagates through N2 (input gradients only) into the encoder.
+    Batches too small for covariance-based alignment terms (last short
+    batch of size 1) are skipped.  Stops on the epoch-loss delta falling
+    under cfg.stop_threshold or after cfg.max_adapt_epochs.
     """
     seed = cfg.seed if seed is None else seed
     nn.build_encoder(net, seed, noise_scale=cfg.encoder_noise)
@@ -207,16 +236,16 @@ def adapt(net, target_train, sampler, loss_spec, cfg, seed=None):
     opt = nn.Adam(net.layers(use_encoder=True), lr=cfg.lr,
                   weight_decay=cfg.weight_decay)
     shuffle_seed = derive_int(seed, "epochs", "adapt")
+    inputs, run = _training_inputs(net, target_train)
     history = []
     for epoch in range(cfg.max_adapt_epochs):
         total, count = 0.0, 0
-        for images, labels in data.batches(target_train, cfg.batch_size,
-                                           shuffle=True, seed=shuffle_seed,
-                                           epoch=epoch):
+        for x, labels in data.batches(inputs, cfg.batch_size, shuffle=True,
+                                      seed=shuffle_seed, epoch=epoch):
             if len(labels) < 2 and loss_spec.kind in _STATS_LOSSES:
                 continue
             try:
-                split, logits = net.forward(images, use_encoder=True)
+                split, logits = run(x, use_encoder=True)
                 flat = split.reshape(len(labels), -1)
                 if loss_spec.needs_sampler:
                     ref = sampler.draw(len(labels))
@@ -230,7 +259,7 @@ def adapt(net, target_train, sampler, loss_spec, cfg, seed=None):
                 net.zero_grad()
                 split_grad = (loss_spec.align_weight * align_grad).reshape(split.shape)
                 net.backward(tc.cross_entropy_grad(logits, labels), use_encoder=True,
-                             split_grad=split_grad, into_n1=False)
+                             split_grad=split_grad)
                 opt.step()
             except (tc.NonFiniteValue, nn.NonFiniteGradient) as exc:
                 raise NonFiniteLoss(
@@ -438,29 +467,46 @@ def _save_record(path, rec):
 
 
 def _load_record(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return RunRecord(
-        method=payload["method"],
-        strategy=payload["strategy"],
-        loss_history=tuple(payload["loss_history"]),
-        report=evaluate.EvalReport.from_dict(payload["report"]),
-        seeds=payload["seeds"],
-        config=payload["config"],
-        wall_clock=payload["wall_clock"],
-    )
+    """The record saved at `path`, or None when the file is truncated or
+    holds no record."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        return RunRecord(
+            method=payload["method"],
+            strategy=payload["strategy"],
+            loss_history=tuple(payload["loss_history"]),
+            report=evaluate.EvalReport.from_dict(payload["report"]),
+            seeds=payload["seeds"],
+            config=payload["config"],
+            wall_clock=payload["wall_clock"],
+        )
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 def ensure_pretrained(bundle, cfg, run_dir, trial):
-    """Train (once) and persist the phase-1 checkpoint for a trial."""
+    """Train (once) and persist the phase-1 checkpoint for a trial.
+
+    The checkpoint records the hash of the config it was trained under;
+    an existing one from another config raises ConfigError.
+    """
     path = os.path.join(run_dir, "checkpoints", f"pretrained-trial{trial}.npz")
-    if not os.path.exists(path):
-        seed = cfg.seed + trial
-        net = build_model(cfg.model, derive_int(seed, "init"))
-        _, history = train_source(net, bundle.source_train, cfg, seed=seed)
-        _atomic_checkpoint(net, path, meta={"phase": "source", "seed": seed})
-        _write_loss_csv(os.path.join(run_dir, f"source-loss-trial{trial}.csv"),
-                        history)
+    want = config_hash(cfg)
+    if os.path.exists(path):
+        got = nn.checkpoint_meta(path).get("config_hash")
+        if got != want:
+            raise ConfigError(
+                f"{path} was trained under config {got}, this run is {want}; "
+                "rerun into a fresh run dir")
+        return path
+    seed = cfg.seed + trial
+    net = build_model(cfg.model, derive_int(seed, "init"))
+    _, history = train_source(net, bundle.source_train, cfg, seed=seed)
+    _atomic_checkpoint(net, path,
+                       meta={"phase": "source", "seed": seed, "config_hash": want})
+    _write_loss_csv(os.path.join(run_dir, f"source-loss-trial{trial}.csv"),
+                    history)
     return path
 
 
@@ -474,18 +520,31 @@ def reproduce(bundle, cfg, run_dir):
 
     Completed cells are persisted as JSON under run_dir/cells and act as
     resume markers: re-running skips them, so an interrupted run picks
-    up where it stopped.  Phase-1 checkpoints are shared by all methods
-    within a trial.
+    up where it stopped.  A truncated or unreadable cell is computed
+    again; a cell or phase-1 checkpoint left by a different config
+    raises ConfigError naming the file.  Phase-1 checkpoints are shared
+    by all methods within a trial.
     """
     os.makedirs(os.path.join(run_dir, "cells"), exist_ok=True)
     os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
     averaged = []
     for family, key, strategy in method_inventory():
+        if family == "baseline":
+            cell_cfg = cfg
+        else:
+            cell_cfg = replace(cfg, loss=key,
+                               sampling=strategy if strategy != "-"
+                               else cfg.sampling)
         trial_records = []
         for trial in range(cfg.trials):
             cell = _cell_path(run_dir, family, key, strategy, trial)
-            if os.path.exists(cell):
-                trial_records.append(_load_record(cell))
+            rec = _load_record(cell) if os.path.exists(cell) else None
+            if rec is not None:
+                if rec.config != cell_cfg.snapshot():
+                    raise ConfigError(
+                        f"{cell} was computed under another config; "
+                        "rerun into a fresh run dir")
+                trial_records.append(rec)
                 continue
             seed = cfg.seed + trial
             if family == "baseline" and key == "target_trained":
@@ -496,10 +555,7 @@ def reproduce(bundle, cfg, run_dir):
                 rec = run_baseline(key, bundle, cfg, seed=seed,
                                    pretrained_path=pre)
             else:
-                cand = replace(cfg, loss=key,
-                               sampling=strategy if strategy != "-"
-                               else cfg.sampling)
-                rec = run_lrsdag(bundle, cand, seed=seed, pretrained_path=pre)
+                rec = run_lrsdag(bundle, cell_cfg, seed=seed, pretrained_path=pre)
                 _write_loss_csv(
                     os.path.join(run_dir,
                                  f"adapt-loss.{key}.{strategy}.trial{trial}.csv"),

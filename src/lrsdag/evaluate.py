@@ -35,12 +35,15 @@ def accuracy(net, ds, use_encoder=False):
     return float(np.mean(preds == ds.labels) * 100.0)
 
 
+def _confusion(labels, preds):
+    matrix = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
+    np.add.at(matrix, (labels, preds), 1)
+    return matrix
+
+
 def confusion_matrix(net, ds, use_encoder=False):
     """Counts indexed (true class, predicted class)."""
-    preds = predictions(net, ds, use_encoder)
-    matrix = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    np.add.at(matrix, (ds.labels, preds), 1)
-    return matrix
+    return _confusion(ds.labels, predictions(net, ds, use_encoder))
 
 
 def feature_matrix(net, ds, through_encoder=False, batch_size=512):
@@ -83,24 +86,37 @@ class EvalReport:
         )
 
 
+def _shared_n1_predictions(net, ds, tags):
+    """Predicted classes per tag ("without"/"with" the encoder), running
+    N1 once per batch for all tags.  A function of its own so that one
+    domain's features are freed before the next domain's N1 pass, which
+    sets the evaluation's peak memory."""
+    preds = {tag: [np.zeros(0, dtype=np.int64)] for tag in tags}
+    for images, _ in data.batches(ds, 512):
+        feats = net.forward_features(images)
+        for tag in tags:
+            _, logits = net.head(feats, use_encoder=tag == "with")
+            preds[tag].append(np.argmax(logits, axis=1))
+    return {tag: np.concatenate(chunks) for tag, chunks in preds.items()}
+
+
 def evaluate_pair(net, source_test, target_test, metadata=None):
-    """Score both domains with the encoder bypassed and included."""
-    has_encoder = net.encoder is not None
+    """Score both domains with the encoder bypassed and included.
+
+    N1 runs once per example: each batch's features go through N2
+    directly and, when an encoder is attached, through the encoder and
+    N2.  Without an encoder the with-encoder cells mirror the bypassed
+    ones.
+    """
+    tags = ("without", "with") if net.encoder is not None else ("without",)
     acc, conf, counts = {}, {}, {}
     for domain, ds in (("source", source_test), ("target", target_test)):
+        preds = _shared_n1_predictions(net, ds, tags)
         for tag in ("without", "with"):
             key = f"{domain}_{tag}"
-            if tag == "with" and not has_encoder:
-                acc[key] = acc[f"{domain}_without"]
-                conf[key] = conf[f"{domain}_without"].copy()
-                counts[key] = counts[f"{domain}_without"]
-                continue
-            preds = predictions(net, ds, use_encoder=tag == "with")
-            matrix = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-            np.add.at(matrix, (ds.labels, preds), 1)
-            conf[key] = matrix
+            conf[key] = _confusion(ds.labels, preds.get(tag, preds["without"]))
             counts[key] = len(ds)
-            acc[key] = float(np.trace(matrix) / len(ds) * 100.0)
+            acc[key] = float(np.trace(conf[key]) / len(ds) * 100.0)
     return EvalReport(accuracy=acc, confusion=conf, n_examples=counts,
                       metadata=dict(metadata or {}))
 

@@ -56,23 +56,6 @@ class AdaptationLoss:
         return DISPLAY_NAMES[self.kind]
 
 
-@dataclass
-class FeatureBatchStats:
-    """First and second order statistics of one feature batch."""
-
-    mean: np.ndarray
-    std: np.ndarray
-    covariance: np.ndarray
-
-
-def batch_stats(features, ddof=0):
-    features = np.asarray(features, dtype=np.float64)
-    mean = features.mean(axis=0)
-    centered = features - mean
-    cov = centered.T @ centered / (features.shape[0] - ddof)
-    return FeatureBatchStats(mean=mean, std=np.sqrt(np.diag(cov)), covariance=cov)
-
-
 def _check_pair(fS, hfT, min_batch=1):
     fS = np.asarray(fS, dtype=np.float64)
     hfT = np.asarray(hfT, dtype=np.float64)
@@ -145,16 +128,23 @@ def loss_norm(fS, hfT):
 def loss_coral(fS, hfT):
     """Squared Frobenius distance between batch covariances, / (4 d^2).
 
-    Covariances are centered by the batch mean and normalized by B - 1.
+    Covariances are centered by the batch mean and normalized by B - 1
+    (Sun & Saenko, Deep CORAL).  The d x d covariances are never formed:
+    with A and C the centered source and target batches, P = A + C and
+    Q = A - C, the covariance difference is (P^T Q + Q^T P) / (2 (B - 1)),
+    so value and gradient follow from B x B products.  That costs
+    O(B^2 d) time and O(B d + B^2) memory instead of O(B d^2) and O(d^2),
+    and equal batches give exactly 0 because Q is 0.
     """
     fS, hfT = _check_pair(fS, hfT, min_batch=2)
     b, d = fS.shape
-    cs = batch_stats(fS, ddof=1).covariance
-    centered_t = hfT - hfT.mean(axis=0)
-    ct = centered_t.T @ centered_t / (b - 1)
-    diff = cs - ct
-    value = float((diff * diff).sum() / (4.0 * d * d))
-    grad = centered_t @ (ct - cs) / ((b - 1) * d * d)
+    a = fS - fS.mean(axis=0)
+    c = hfT - hfT.mean(axis=0)
+    p, q = a + c, a - c
+    qp = q @ p.T
+    scale = (b - 1) * (b - 1) * d * d
+    value = float(((p @ p.T) * (q @ q.T)).sum() + (qp * qp.T).sum()) / (8.0 * scale)
+    grad = -((c @ p.T) @ q + (c @ q.T) @ p) / (2.0 * scale)
     return value, grad
 
 

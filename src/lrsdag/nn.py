@@ -100,8 +100,10 @@ class Linear(Layer):
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, dout):
-        self.weight.grad += dout.T @ self._x
-        self.bias.grad += dout.sum(axis=0)
+        """Input gradient; weight gradients accumulate only when trainable."""
+        if not self.frozen:
+            self.weight.grad += dout.T @ self._x
+            self.bias.grad += dout.sum(axis=0)
         dx = dout @ self.weight.value
         return dx.reshape(self._in_shape)
 
@@ -145,14 +147,16 @@ class Conv2d(Layer):
         return out + self.bias.value[None, :, None, None]
 
     def backward(self, dout):
+        """Input gradient; weight gradients accumulate only when trainable."""
         from .tensor_core import col2im
 
         b = dout.shape[0]
         h_out, w_out = self._out_hw
         dmat = dout.transpose(0, 2, 3, 1).reshape(b, h_out * w_out, self.c_out)
-        dw = np.tensordot(dmat, self._cols, axes=([0, 1], [0, 1]))
-        self.weight.grad += dw.reshape(self.weight.value.shape)
-        self.bias.grad += dout.sum(axis=(0, 2, 3))
+        if not self.frozen:
+            dw = np.tensordot(dmat, self._cols, axes=([0, 1], [0, 1]))
+            self.weight.grad += dw.reshape(self.weight.value.shape)
+            self.bias.grad += dout.sum(axis=(0, 2, 3))
         dcols = dmat @ self.weight.value.reshape(self.c_out, -1)
         return col2im(dcols, self._x_shape, self.kh, self.kw, self.stride, self.padding)
 
@@ -251,11 +255,16 @@ class Network:
         split_features is the value entering n2: f(x) without the encoder,
         h(f(x)) with it.
         """
-        if use_encoder and self.encoder is None:
-            raise EncoderMissing("forward(use_encoder=True) on a network without an encoder")
         x = self._prepare(batch)
         for layer in self.n1:
             x = layer.forward(x)
+        return self.head(x, use_encoder)
+
+    def head(self, x, use_encoder=False):
+        """Run the encoder (optionally) and n2 on n1 output x = f(batch);
+        returns (split_features, logits) as `forward` does."""
+        if use_encoder and self.encoder is None:
+            raise EncoderMissing("use_encoder=True on a network without an encoder")
         if use_encoder:
             for layer in self.encoder:
                 x = layer.forward(x)
@@ -272,13 +281,17 @@ class Network:
             x = layer.forward(x)
         return x
 
-    def backward(self, dlogits, use_encoder=False, split_grad=None, into_n1=True):
-        """Backpropagate from the logits, accumulating parameter gradients.
+    def backward(self, dlogits, use_encoder=False, split_grad=None):
+        """Backpropagate from the logits, accumulating the gradients of
+        trainable parameters; frozen layers pass the input gradient only.
 
         `split_grad` is added to the gradient arriving at the n2 input (used
-        for feature-alignment terms acting on the split features). With
-        `into_n1=False` the walk stops after the encoder (or at the split),
-        which is all that phase-2 training needs.
+        for feature-alignment terms acting on the split features).  When
+        every n1 layer is frozen (phase 2 and the finetune-N2 baseline) no
+        gradient below the split is needed, so the walk stops there and the
+        gradient with respect to the n1 output is returned.  Otherwise it
+        goes on through n1 and returns the gradient with respect to the
+        network input.
         """
         d = dlogits
         for layer in reversed(self.n2):
@@ -290,9 +303,10 @@ class Network:
                 raise EncoderMissing("backward(use_encoder=True) without an encoder")
             for layer in reversed(self.encoder):
                 d = layer.backward(d)
-        if into_n1:
-            for layer in reversed(self.n1):
-                d = layer.backward(d)
+        if all(layer.frozen for layer in self.n1):
+            return d
+        for layer in reversed(self.n1):
+            d = layer.backward(d)
         return d
 
     def zero_grad(self):
@@ -428,9 +442,11 @@ class Adam:
                 state["v"] = self.beta2 * state["v"] + (1.0 - self.beta2) * g * g
                 m_hat = state["m"] / (1.0 - self.beta1 ** t)
                 v_hat = state["v"] / (1.0 - self.beta2 ** t)
+                # decoupled decay of the pre-update weights (AdamW)
+                decay = self.lr * self.weight_decay * p.value if self.weight_decay else None
                 p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
-                if self.weight_decay:
-                    p.value -= self.lr * self.weight_decay * p.value
+                if decay is not None:
+                    p.value -= decay
 
 
 def save_checkpoint(network, path, meta=None):
@@ -449,6 +465,12 @@ def save_checkpoint(network, path, meta=None):
                 arrays[f"{name}.{i}.{j}"] = p.value
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def checkpoint_meta(path):
+    """The metadata `save_checkpoint` stored, without the parameters."""
+    with np.load(path, allow_pickle=False) as data:
+        return json.loads(str(data["structure"]))["meta"]
 
 
 def load_checkpoint(path):

@@ -189,6 +189,23 @@ class TestReproduce:
                    "--run-dir", second) == 0
         assert open(os.path.join(second, "report.csv"), "rb").read() == report
 
+    def test_rerun_with_other_lr_is_config_error(self, prep_dir, tiny_cfg_path,
+                                                 tmp_path, capsys):
+        run_dir = os.path.join(tmp_path, "run")
+        assert run("reproduce", "--experiment", "fcn-mnist-syn",
+                   "--config", tiny_cfg_path, "--data-dir", prep_dir,
+                   "--run-dir", run_dir) == 0
+        report = open(os.path.join(run_dir, "report.txt"), "rb").read()
+        other = os.path.join(tmp_path, "other.cfg")
+        with open(other, "w", encoding="utf-8") as fh:
+            fh.write(open(tiny_cfg_path, encoding="utf-8").read() + "lr = 0.05\n")
+        capsys.readouterr()
+        assert run("reproduce", "--experiment", "fcn-mnist-syn",
+                   "--config", other, "--data-dir", prep_dir,
+                   "--run-dir", run_dir) == 1
+        assert "cells" in capsys.readouterr().err
+        assert open(os.path.join(run_dir, "report.txt"), "rb").read() == report
+
     def test_unknown_experiment_is_usage_error(self, prep_dir):
         assert run("reproduce", "--experiment", "no-such",
                    "--data-dir", prep_dir) == 1

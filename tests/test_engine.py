@@ -1,10 +1,12 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
 from lrsdag import data, engine, evaluate, losses, nn, sampling
-from lrsdag.seeding import derive_rng
+from lrsdag import tensor_core as tc
+from lrsdag.seeding import derive_int, derive_rng
 
 TEMPLATES = np.random.default_rng(99).random((10, 1024))
 
@@ -185,6 +187,88 @@ class TestAdapt:
                          losses.AdaptationLoss("cls_kl"), quick_cfg(), seed=0)
 
 
+def reference_adapt(net, ds, sampler, spec, cfg, seed):
+    """Phase 2 as a plain per-batch loop: the whole network, N1 included,
+    runs forward on the images of every batch in every epoch."""
+    nn.build_encoder(net, seed, noise_scale=cfg.encoder_noise)
+    nn.set_frozen(net, ("n1", "n2"), True)
+    opt = nn.Adam(net.layers(use_encoder=True), lr=cfg.lr,
+                  weight_decay=cfg.weight_decay)
+    shuffle_seed = derive_int(seed, "epochs", "adapt")
+    history = []
+    for epoch in range(cfg.max_adapt_epochs):
+        total, count = 0.0, 0
+        for images, labels in data.batches(ds, cfg.batch_size, shuffle=True,
+                                           seed=shuffle_seed, epoch=epoch):
+            if len(labels) < 2 and spec.kind in ("cls_norm", "coral"):
+                continue
+            split, logits = net.forward(images, use_encoder=True)
+            flat = split.reshape(len(labels), -1)
+            ref = sampler.draw(len(labels)) if spec.needs_sampler else flat
+            align_value, align_grad = losses.alignment(spec.kind, ref, flat)
+            value = spec.align_weight * align_value + tc.cross_entropy(logits, labels)
+            net.zero_grad()
+            net.backward(tc.cross_entropy_grad(logits, labels), use_encoder=True,
+                         split_grad=(spec.align_weight * align_grad).reshape(split.shape))
+            opt.step()
+            total += value * len(labels)
+            count += len(labels)
+        history.append(total / count)
+        if engine.stopping_check(history, cfg.stop_threshold):
+            break
+    return tuple(history)
+
+
+def _adapt_both_ways(model, kind, batch_size, n):
+    """(encoder bytes, loss history) from engine.adapt and from the
+    per-batch reference, on the same data, init, sampler and seed."""
+    ds = blob_dataset(n, seed=5, shift=0.4)
+    source = blob_dataset(40, seed=6)
+    cfg = quick_cfg(model=model, batch_size=batch_size, max_adapt_epochs=3,
+                    stop_threshold=1e-300)
+    spec = losses.AdaptationLoss(kind)
+    results = []
+    for fit in (engine.adapt, reference_adapt):
+        net = engine.build_model(model, seed=13)
+        feats = evaluate.feature_matrix(net, source)
+        sampler = sampling.make_sampler("indirect", feats, derive_rng(3, kind))
+        out = fit(net, ds, sampler, spec, cfg, seed=4)
+        history = tuple(out[1]) if fit is engine.adapt else out
+        assert len(history) == 3
+        results.append((net.param_bytes(("encoder",)), history))
+    return results
+
+
+class TestAdaptMatchesPerBatchReference:
+    """N1 features computed once must train the encoder as the per-batch
+    forward pass does, bit for bit."""
+
+    @pytest.mark.parametrize("model", ["fcn", "cnn"])
+    @pytest.mark.parametrize("kind", ["cls_kl", "cls_norm"])
+    @pytest.mark.parametrize("batch_size", [8, 16])
+    def test_bit_identical(self, model, kind, batch_size):
+        # 37 examples: short last batches of 5 rows
+        got, want = _adapt_both_ways(model, kind, batch_size, 37)
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["cls_kl", "cls_norm"])
+    def test_cnn_single_row_last_batch(self, kind):
+        # batches of 10, 10, 10, 1; cls_norm skips the last one.  Conv
+        # products run per example, so batch size never changes rounding.
+        got, want = _adapt_both_ways("cnn", kind, 10, 31)
+        assert got == want
+
+    def test_fcn_single_row_last_batch(self):
+        # OpenBLAS computes a product of 1 to 4 rows with another kernel
+        # than the same rows inside a larger product, so f(T) rows of such
+        # a batch differ from the cached ones in the last bits; the
+        # trajectories agree to rounding.
+        got, want = _adapt_both_ways("fcn", "cls_kl", 10, 31)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-9)
+        np.testing.assert_allclose(np.frombuffer(got[0]), np.frombuffer(want[0]),
+                                   rtol=1e-9, atol=1e-12)
+
+
 class TestBaselines:
     def test_source_trained_record_shape(self, pretrained):
         path, bundle = pretrained
@@ -304,8 +388,22 @@ class TestReproduce:
         assert len(report_csv.splitlines()) == 15
 
         # resume: rerunning with cells present must not change the report
+        report_txt = (run_a / "report.txt").read_bytes()
         engine.reproduce(bundle, cfg, str(run_a))
         assert (run_a / "report.csv").read_bytes() == report_csv
+
+        # a truncated cell is computed again, to the same record
+        cell = run_a / "cells" / "lrsdag.coral.indirect.trial0.json"
+        payload = cell.read_bytes()
+        cell.write_bytes(payload[:len(payload) // 2])
+        engine.reproduce(bundle, cfg, str(run_a))
+        assert (run_a / "report.txt").read_bytes() == report_txt
+        assert (run_a / "report.csv").read_bytes() == report_csv
+        recomputed = json.loads(cell.read_bytes())
+        stored = json.loads(payload)
+        recomputed.pop("wall_clock")
+        stored.pop("wall_clock")
+        assert recomputed == stored
 
         # a fresh directory reproduces the report byte for byte
         run_b = tmp_path / "b"
@@ -332,6 +430,19 @@ class TestReproduce:
         assert loaded.method == rec.method
         assert loaded.report.accuracy == rec.report.accuracy
         assert loaded.loss_history == rec.loss_history
+
+    def test_other_config_is_rejected(self, tmp_path):
+        bundle = blob_bundle(n_train=40, n_test=20)
+        cfg = quick_cfg(source_epochs=1, max_adapt_epochs=1)
+        engine.reproduce(bundle, cfg, str(tmp_path))
+        other = quick_cfg(source_epochs=1, max_adapt_epochs=1, lr=0.05)
+        with pytest.raises(engine.ConfigError, match="source_trained"):
+            engine.reproduce(bundle, other, str(tmp_path))
+        # with the cells gone, the checkpoint's config hash still differs
+        for name in os.listdir(tmp_path / "cells"):
+            os.remove(tmp_path / "cells" / name)
+        with pytest.raises(engine.ConfigError, match="pretrained-trial0.npz"):
+            engine.reproduce(bundle, other, str(tmp_path))
 
     def test_ensure_pretrained_idempotent(self, tmp_path):
         bundle = blob_bundle(n_train=40, n_test=20)

@@ -89,6 +89,20 @@ class TestEvaluatePair:
         report = evaluate.evaluate_pair(net, ds, ds)
         assert report.accuracy["source_without"] == bare
 
+    @pytest.mark.parametrize("build,n", [(nn.build_fcn, 600), (nn.build_cnn, 12)],
+                             ids=["fcn", "cnn"])
+    def test_confusions_equal_per_cell_passes(self, build, n):
+        # 600 rows span two evaluation batches
+        net = build(seed=9)
+        nn.build_encoder(net, seed=9, noise_scale=0.5)
+        source, target = balanced_dataset(n), balanced_dataset(n + 3)
+        report = evaluate.evaluate_pair(net, source, target)
+        for domain, ds in (("source", source), ("target", target)):
+            for tag in ("without", "with"):
+                want = evaluate.confusion_matrix(net, ds, use_encoder=tag == "with")
+                np.testing.assert_array_equal(report.confusion[f"{domain}_{tag}"], want)
+                assert report.n_examples[f"{domain}_{tag}"] == len(ds)
+
     def test_round_trip_dict(self):
         net = nn.build_fcn(seed=4)
         ds = balanced_dataset()

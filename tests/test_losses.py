@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,10 +189,44 @@ class TestTotalLoss:
             losses.AdaptationLoss("mmd")
 
 
-class TestBatchStats:
-    def test_invariants(self):
-        rng = np.random.default_rng(13)
-        stats = losses.batch_stats(rand_batch(rng, b=16, k=5))
-        np.testing.assert_allclose(stats.covariance, stats.covariance.T, atol=1e-12)
-        np.testing.assert_allclose(np.diag(stats.covariance), stats.std ** 2, atol=1e-9)
-        assert np.all(stats.std >= 0)
+def coral_oracle(fS, hfT):
+    """CORAL from the explicit d x d covariances (B - 1 normalised)."""
+    b, d = fS.shape
+    a = fS - fS.mean(axis=0)
+    c = hfT - hfT.mean(axis=0)
+    cs = a.T @ a / (b - 1)
+    ct = c.T @ c / (b - 1)
+    diff = cs - ct
+    return (diff * diff).sum() / (4.0 * d * d), c @ (ct - cs) / ((b - 1) * d * d)
+
+
+class TestCoralGramForm:
+    @given(b=st.integers(2, 12), d=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_covariance_oracle(self, b, d, seed, scale):
+        rng = np.random.default_rng(seed)
+        fS = scale * rng.normal(size=(b, d)) + rng.normal(size=d)
+        hfT = scale * rng.uniform(0.2, 2.0) * rng.normal(size=(b, d))
+        value, grad = losses.loss_coral(fS, hfT)
+        want_value, want_grad = coral_oracle(fS, hfT)
+        assert abs(value - want_value) <= 1e-10 * want_value
+        assert np.linalg.norm(grad - want_grad) <= 1e-10 * np.linalg.norm(want_grad)
+
+    def test_equal_batches_exactly_zero(self):
+        a = rand_batch(np.random.default_rng(14), b=9, k=20)
+        value, grad = losses.loss_coral(a, a)
+        assert value == 0.0 and not grad.any()
+
+    def test_memory_stays_off_d_squared(self):
+        # one 8192 x 8192 float64 covariance alone is 512 MiB
+        rng = np.random.default_rng(15)
+        fS, hfT = rng.normal(size=(16, 8192)), rng.normal(size=(16, 8192))
+        tracemalloc.start()
+        try:
+            losses.loss_coral(fS, hfT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20

@@ -148,6 +148,20 @@ class TestAdam:
         expected = before - 0.01 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(layer.weight.value, expected, atol=1e-12)
 
+    def test_decoupled_decay_uses_pre_update_weights(self):
+        # AdamW: theta_1 = theta_0 - lr * (m_hat / (sqrt(v_hat) + eps)
+        # + wd * theta_0); on the first step m_hat = g and v_hat = g^2
+        layer = self._layer_with_grad(0.0)
+        g = np.random.default_rng(2).normal(size=(2, 3))
+        layer.weight.grad[:] = g
+        theta0 = layer.weight.value.copy()
+        lr, wd, eps = 0.1, 0.5, 1e-8
+        nn.Adam([layer], lr=lr, epsilon=eps, weight_decay=wd).step()
+        expected = theta0 - lr * (g / (np.abs(g) + eps) + wd * theta0)
+        np.testing.assert_allclose(layer.weight.value, expected, rtol=0, atol=1e-15)
+        # the bias has a zero gradient, so only the decay of zero acts on it
+        np.testing.assert_array_equal(layer.bias.value, np.zeros(2))
+
     def test_frozen_untouched(self):
         layer = self._layer_with_grad(1.0)
         layer.frozen = True
@@ -167,6 +181,35 @@ class TestAdam:
         layer = self._layer_with_grad(np.nan)
         with pytest.raises(nn.NonFiniteGradient):
             nn.Adam([layer]).step()
+
+
+class TestFrozenBackward:
+    @pytest.mark.parametrize("factory,shape", [
+        (lambda rng: nn.Linear(6, 4, rng=rng), (3, 6)),
+        (lambda rng: nn.Conv2d(2, 3, 3, 3, 2, 1, rng=rng), (2, 2, 6, 6)),
+    ], ids=["linear", "conv"])
+    def test_frozen_layer_passes_dx_only(self, factory, shape):
+        rng = np.random.default_rng(3)
+        trainable, frozen = factory(np.random.default_rng(4)), factory(np.random.default_rng(4))
+        frozen.frozen = True
+        x = rng.normal(size=shape)
+        dout = rng.normal(size=trainable.forward(x).shape)
+        frozen.forward(x)
+        np.testing.assert_array_equal(frozen.backward(dout), trainable.backward(dout))
+        assert all(not p.grad.any() for p in frozen.params())
+        assert all(p.grad.any() for p in trainable.params())
+
+    def test_walk_stops_at_split_when_n1_frozen(self):
+        net = nn.build_cnn(seed=0)
+        nn.build_encoder(net, seed=1)
+        nn.set_frozen(net, ("n1", "n2"), True)
+        x = np.random.default_rng(5).normal(size=(2, 1, 32, 32))
+        labels = np.array([3, 7])
+        _, logits = net.forward(x, use_encoder=True)
+        d = net.backward(tc.cross_entropy_grad(logits, labels), use_encoder=True)
+        assert d.shape == (2,) + net.split_shape
+        assert all(not p.grad.any() for p in net.all_params(("n1", "n2")))
+        assert all(p.grad.any() for p in net.all_params(("encoder",)))
 
 
 class TestFreezing:
