@@ -18,7 +18,7 @@ import numpy as np
 from . import config as config_file
 from . import data, engine, evaluate, glyphs, losses, nn, sampling
 from . import tensor_core as tc
-from .seeding import derive_int, derive_rng
+from .seeding import derive_int
 
 EXPERIMENTS = {
     "fcn-mnist-syn": "fcn",
@@ -231,10 +231,7 @@ def cmd_adapt(args):
     if loss_spec.needs_sampler:
         source_train = _load_prepared(args.data_dir, "source-train", "source",
                                       "train")
-        feats = evaluate.feature_matrix(net, source_train)
-        sampler = sampling.make_sampler(cfg.sampling, feats,
-                                        derive_rng(cfg.seed, "sampler",
-                                                   cfg.sampling))
+        sampler = engine.source_sampler(net, source_train, cfg, cfg.seed)
     _, history = engine.adapt(net, target_train, sampler, loss_spec, cfg,
                               seed=cfg.seed)
     adapted = os.path.join(run_dir, "adapted.npz")
@@ -383,7 +380,8 @@ def build_parser():
     grid.add_argument("--method", default="lrsdag",
                       choices=("lrsdag",) + engine.BASELINE_KINDS)
     grid.add_argument("--checkpoint", default=None,
-                      help="shared phase-1 checkpoint for adaptation methods")
+                      help="existing phase-1 checkpoint shared by every "
+                           "candidate; without it each trains its own")
     grid.add_argument("--run-dir", default=None)
     grid.set_defaults(func=cmd_grid_search)
 

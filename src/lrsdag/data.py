@@ -119,17 +119,6 @@ def atomic_write_text(path, text):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def concat_datasets(a, b, split=None):
-    """Merge two datasets, e.g. to roll a validation split back into
-    training after hyperparameter selection."""
-    return Dataset(
-        images=np.concatenate([a.images, b.images]),
-        labels=np.concatenate([a.labels, b.labels]),
-        name=a.name,
-        split=a.split if split is None else split,
-    )
-
-
 def read_idx(path, rescale=True):
     """Read a big-endian IDX file of unsigned bytes.
 

@@ -32,9 +32,6 @@ BASELINE_DISPLAY = {
     "finetune_n2": "Finetune N2",
 }
 
-# alignment terms that need batch statistics, hence at least two examples
-_STATS_LOSSES = ("cls_norm", "coral")
-
 
 class EngineError(Exception):
     pass
@@ -175,9 +172,18 @@ def _training_inputs(net, ds):
     return ds, net.forward
 
 
-def _train_cross_entropy(net, ds, cfg, seed, tag, epochs, stop_threshold=None):
-    """Shared cross-entropy loop; frozen layers never step."""
-    opt = nn.Adam(net.layers(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+def _train(net, ds, cfg, seed, tag, epochs, align=None, min_rows=1,
+           stop_threshold=None):
+    """The loop of both phases; returns the per-epoch mean loss.
+
+    Each step takes the cross-entropy plus, given `align(split, n)`, the
+    weighted alignment value and split gradient it returns; `align` also
+    puts the encoder in the forward, backward and optimizer.  Batches
+    under `min_rows` rows are skipped; frozen layers never step.
+    """
+    use_encoder = align is not None
+    opt = nn.Adam(net.layers(use_encoder=use_encoder), lr=cfg.lr,
+                  weight_decay=cfg.weight_decay)
     shuffle_seed = derive_int(seed, "epochs", tag)
     inputs, run = _training_inputs(net, ds)
     history = []
@@ -185,19 +191,26 @@ def _train_cross_entropy(net, ds, cfg, seed, tag, epochs, stop_threshold=None):
         total, count = 0.0, 0
         for x, labels in data.batches(inputs, cfg.batch_size, shuffle=True,
                                       seed=shuffle_seed, epoch=epoch):
+            if len(labels) < min_rows:
+                continue
             try:
-                _, logits = run(x)
-                value = tc.cross_entropy(logits, labels)
+                split, logits = run(x, use_encoder=use_encoder)
+                value, split_grad = align(split, len(labels)) if align else (0.0, None)
+                value += tc.cross_entropy(logits, labels)
                 if not math.isfinite(value):
                     raise NonFiniteLoss(f"non-finite loss at epoch {epoch}", epoch)
                 net.zero_grad()
-                net.backward(tc.cross_entropy_grad(logits, labels))
+                net.backward(tc.cross_entropy_grad(logits, labels),
+                             use_encoder=use_encoder, split_grad=split_grad)
                 opt.step()
             except (tc.NonFiniteValue, nn.NonFiniteGradient) as exc:
                 raise NonFiniteLoss(
                     f"training diverged at epoch {epoch}: {exc}", epoch) from exc
             total += value * len(labels)
             count += len(labels)
+        if count == 0:
+            raise EngineError(f"every {ds.name} {ds.split} batch has fewer than "
+                              f"the {min_rows} rows the objective needs")
         history.append(total / count)
         if stop_threshold is not None and stopping_check(history, stop_threshold):
             break
@@ -209,8 +222,7 @@ def train_source(net, source_train, cfg, seed=None, checkpoint_path=None):
     if net.encoder is not None:
         raise nn.EncoderAlreadyPresent("phase-1 training expects no encoder")
     seed = cfg.seed if seed is None else seed
-    history = _train_cross_entropy(net, source_train, cfg, seed, "source",
-                                   cfg.source_epochs)
+    history = _train(net, source_train, cfg, seed, "source", cfg.source_epochs)
     if checkpoint_path is not None:
         _atomic_checkpoint(net, checkpoint_path,
                            meta={"phase": "source", "seed": seed})
@@ -224,65 +236,49 @@ def adapt(net, target_train, sampler, loss_spec, cfg, seed=None):
     f(T) of the whole target set are computed once, before the first
     epoch; each step runs the encoder and N2 on its rows of them, and
     backpropagates through N2 (input gradients only) into the encoder.
-    Batches too small for covariance-based alignment terms (last short
-    batch of size 1) are skipped.  Stops on the epoch-loss delta falling
-    under cfg.stop_threshold or after cfg.max_adapt_epochs.
+    Batches too small for the alignment term (loss_spec.min_rows) are
+    skipped.  Stops on the epoch-loss delta falling under
+    cfg.stop_threshold or after cfg.max_adapt_epochs.
     """
     seed = cfg.seed if seed is None else seed
     nn.build_encoder(net, seed, noise_scale=cfg.encoder_noise)
     nn.set_frozen(net, ("n1", "n2"), True)
     if loss_spec.needs_sampler and sampler is None:
         raise EngineError(f"loss {loss_spec.kind!r} needs a feature sampler")
-    opt = nn.Adam(net.layers(use_encoder=True), lr=cfg.lr,
-                  weight_decay=cfg.weight_decay)
-    shuffle_seed = derive_int(seed, "epochs", "adapt")
-    inputs, run = _training_inputs(net, target_train)
-    history = []
-    for epoch in range(cfg.max_adapt_epochs):
-        total, count = 0.0, 0
-        for x, labels in data.batches(inputs, cfg.batch_size, shuffle=True,
-                                      seed=shuffle_seed, epoch=epoch):
-            if len(labels) < 2 and loss_spec.kind in _STATS_LOSSES:
-                continue
-            try:
-                split, logits = run(x, use_encoder=True)
-                flat = split.reshape(len(labels), -1)
-                if loss_spec.needs_sampler:
-                    ref = sampler.draw(len(labels))
-                else:
-                    ref = flat
-                align_value, align_grad = losses.alignment(loss_spec.kind, ref, flat)
-                ce = tc.cross_entropy(logits, labels)
-                value = loss_spec.align_weight * align_value + ce
-                if not math.isfinite(value):
-                    raise NonFiniteLoss(f"non-finite loss at epoch {epoch}", epoch)
-                net.zero_grad()
-                split_grad = (loss_spec.align_weight * align_grad).reshape(split.shape)
-                net.backward(tc.cross_entropy_grad(logits, labels), use_encoder=True,
-                             split_grad=split_grad)
-                opt.step()
-            except (tc.NonFiniteValue, nn.NonFiniteGradient) as exc:
-                raise NonFiniteLoss(
-                    f"adaptation diverged at epoch {epoch}: {exc}", epoch) from exc
-            total += value * len(labels)
-            count += len(labels)
-        if count == 0:
-            raise EngineError(
-                f"loss {loss_spec.kind!r} needs batches of at least 2 examples")
-        history.append(total / count)
-        if stopping_check(history, cfg.stop_threshold):
-            break
+    weight = loss_spec.align_weight
+
+    def align(split, n):
+        flat = split.reshape(n, -1)
+        ref = sampler.draw(n) if loss_spec.needs_sampler else flat
+        value, grad = losses.alignment(loss_spec.kind, ref, flat)
+        return weight * value, (weight * grad).reshape(split.shape)
+
+    history = _train(net, target_train, cfg, seed, "adapt", cfg.max_adapt_epochs,
+                     align=align, min_rows=loss_spec.min_rows,
+                     stop_threshold=cfg.stop_threshold)
     return net, history
 
 
-def _load_or_train_source(bundle, cfg, seed, pretrained_path):
-    if pretrained_path is not None and os.path.exists(pretrained_path):
-        net, _ = nn.load_checkpoint(pretrained_path)
-        return net, ()
+def source_sampler(net, source_train, cfg, seed):
+    """The cfg.sampling sampler `adapt` draws reference N1 features from."""
+    feats = evaluate.feature_matrix(net, source_train)
+    return sampling.make_sampler(cfg.sampling, feats,
+                                 derive_rng(seed, "sampler", cfg.sampling))
+
+
+def _pretrain(bundle, cfg, seed):
+    """Phase 1 from a fresh model; returns (net, loss_history)."""
     net = build_model(cfg.model, derive_int(seed, "init"))
-    _, history = train_source(net, bundle.source_train, cfg, seed=seed,
-                              checkpoint_path=pretrained_path)
+    _, history = train_source(net, bundle.source_train, cfg, seed=seed)
     return net, tuple(history)
+
+
+def _load_or_train_source(bundle, cfg, seed, pretrained_path):
+    """The phase-1 model at `pretrained_path` (which must exist), or a new one."""
+    if pretrained_path is None:
+        return _pretrain(bundle, cfg, seed)
+    net, _ = nn.load_checkpoint(pretrained_path)
+    return net, ()
 
 
 def _fit(bundle, cfg, method, seed, pretrained_path=None):
@@ -291,11 +287,8 @@ def _fit(bundle, cfg, method, seed, pretrained_path=None):
         net, _ = _load_or_train_source(bundle, cfg, seed, pretrained_path)
         before = checksum(net)
         loss_spec = losses.AdaptationLoss(cfg.loss, align_weight=cfg.align_weight)
-        sampler = None
-        if loss_spec.needs_sampler:
-            feats = evaluate.feature_matrix(net, bundle.source_train)
-            sampler = sampling.make_sampler(
-                cfg.sampling, feats, derive_rng(seed, "sampler", cfg.sampling))
+        sampler = (source_sampler(net, bundle.source_train, cfg, seed)
+                   if loss_spec.needs_sampler else None)
         _, history = adapt(net, bundle.target_train, sampler, loss_spec, cfg,
                            seed=seed)
         if checksum(net) != before:
@@ -306,16 +299,15 @@ def _fit(bundle, cfg, method, seed, pretrained_path=None):
     if method == "target_trained":
         # trains purely on the target subset; source data is never read
         net = build_model(cfg.model, derive_int(seed, "target-init"))
-        history = _train_cross_entropy(net, bundle.target_train, cfg, seed,
-                                       "target", cfg.source_epochs)
+        history = _train(net, bundle.target_train, cfg, seed, "target",
+                         cfg.source_epochs)
         return net, tuple(history)
     if method == "finetune_n2":
         net, _ = _load_or_train_source(bundle, cfg, seed, pretrained_path)
         before = checksum(net, blocks=("n1",))
         nn.set_frozen(net, ("n1",), True)
-        history = _train_cross_entropy(net, bundle.target_train, cfg, seed,
-                                       "finetune", cfg.max_adapt_epochs,
-                                       stop_threshold=cfg.stop_threshold)
+        history = _train(net, bundle.target_train, cfg, seed, "finetune",
+                         cfg.max_adapt_epochs, stop_threshold=cfg.stop_threshold)
         if checksum(net, blocks=("n1",)) != before:
             raise EngineError("frozen front block changed during finetuning")
         return net, tuple(history)
@@ -409,8 +401,9 @@ def grid_search(lrs, weight_decays, bundle, val, cfg, method="lrsdag",
     """Pick (lr, weight_decay) by validation accuracy.
 
     Ties break toward the lower learning rate, then the lower decay.
-    The caller merges the validation split back into training afterwards
-    (data.concat_datasets).
+    With `pretrained_path` every candidate starts from that phase-1
+    checkpoint, which must exist; without it each candidate trains
+    phase 1 under its own lr and decay.
     """
     if not lrs or not weight_decays:
         raise ConfigError("grid must contain at least one lr and one weight_decay")
@@ -501,8 +494,7 @@ def ensure_pretrained(bundle, cfg, run_dir, trial):
                 "rerun into a fresh run dir")
         return path
     seed = cfg.seed + trial
-    net = build_model(cfg.model, derive_int(seed, "init"))
-    _, history = train_source(net, bundle.source_train, cfg, seed=seed)
+    net, history = _pretrain(bundle, cfg, seed)
     _atomic_checkpoint(net, path,
                        meta={"phase": "source", "seed": seed, "config_hash": want})
     _write_loss_csv(os.path.join(run_dir, f"source-loss-trial{trial}.csv"),

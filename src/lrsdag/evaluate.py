@@ -17,16 +17,14 @@ N_CLASSES = 10
 
 CELLS = ("source_without", "source_with", "target_without", "target_with")
 
+# examples per forward pass when predicting or extracting features
+BATCH_SIZE = 512
 
-def predictions(net, ds, use_encoder=False, batch_size=512):
+
+def predictions(net, ds, use_encoder=False):
     """Predicted class per example; argmax ties go to the lowest index."""
-    out = []
-    for images, _ in data.batches(ds, batch_size):
-        _, logits = net.forward(images, use_encoder=use_encoder)
-        out.append(np.argmax(logits, axis=1))
-    if not out:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(out)
+    tag = "with" if use_encoder else "without"
+    return _shared_n1_predictions(net, ds, (tag,))[tag]
 
 
 def accuracy(net, ds, use_encoder=False):
@@ -46,10 +44,10 @@ def confusion_matrix(net, ds, use_encoder=False):
     return _confusion(ds.labels, predictions(net, ds, use_encoder))
 
 
-def feature_matrix(net, ds, through_encoder=False, batch_size=512):
+def feature_matrix(net, ds, through_encoder=False):
     """Split features over a dataset, flattened to N x k."""
     chunks = []
-    for images, labels in data.batches(ds, batch_size):
+    for images, labels in data.batches(ds, BATCH_SIZE):
         feats = net.forward_features(images)
         if through_encoder:
             for layer in net.encoder:
@@ -92,7 +90,7 @@ def _shared_n1_predictions(net, ds, tags):
     domain's features are freed before the next domain's N1 pass, which
     sets the evaluation's peak memory."""
     preds = {tag: [np.zeros(0, dtype=np.int64)] for tag in tags}
-    for images, _ in data.batches(ds, 512):
+    for images, _ in data.batches(ds, BATCH_SIZE):
         feats = net.forward_features(images)
         for tag in tags:
             _, logits = net.head(feats, use_encoder=tag == "with")

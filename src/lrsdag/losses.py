@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import ShapeMismatch, cross_entropy, log_softmax, softmax
+from .tensor_core import ShapeMismatch, log_softmax
 
 LOSS_KINDS = ("cls", "cls_mse", "cls_kl", "cls_norm", "cls_kl_rev", "coral")
 
@@ -54,6 +54,11 @@ class AdaptationLoss:
     @property
     def display(self):
         return DISPLAY_NAMES[self.kind]
+
+    @property
+    def min_rows(self):
+        """Fewest batch rows the alignment takes (batch statistics need 2)."""
+        return 2 if self.kind in ("cls_norm", "coral") else 1
 
 
 def _check_pair(fS, hfT, min_batch=1):
@@ -167,9 +172,3 @@ def alignment(kind, fS, hfT):
     except KeyError:
         raise LossError(f"unknown loss kind {kind!r}") from None
     return fn(fS, hfT)
-
-
-def total_loss(spec, fS, hfT, logits, labels):
-    """align_weight * alignment(kind) + cross entropy on the target labels."""
-    align_value, _ = alignment(spec.kind, fS, hfT)
-    return spec.align_weight * align_value + cross_entropy(logits, labels)

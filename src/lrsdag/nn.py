@@ -419,11 +419,6 @@ class Adam:
         self.weight_decay = weight_decay
         self._state = {}
 
-    def zero_grad(self):
-        for layer in self.layers:
-            for p in layer.params():
-                p.grad.fill(0.0)
-
     def step(self):
         for layer in self.layers:
             if layer.frozen:

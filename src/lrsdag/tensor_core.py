@@ -35,17 +35,6 @@ def check_finite(x, op="tensor op"):
     return x
 
 
-def matmul(a, b):
-    """Matrix product of a [m x k] and b [k x n]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatch(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return check_finite(a @ b, "matmul")
-
-
 def im2col(x, kh, kw, stride, padding):
     """Unfold sliding windows of a batched image into a column matrix.
 
@@ -81,33 +70,6 @@ def col2im(cols, x_shape, kh, kw, stride, padding):
     if padding:
         return xp[:, :, padding:hp - padding, padding:wp - padding]
     return xp
-
-
-def conv2d(x, kernels, stride=1, padding=0):
-    """Zero-padded cross-correlation.
-
-    x: (C_in, H, W) or (B, C_in, H, W); kernels: (C_out, C_in, kh, kw).
-    Output spatial size is floor((H + 2*padding - kh) / stride) + 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
-    if x.ndim != 4 or kernels.ndim != 4:
-        raise ShapeMismatch(f"conv2d expects image {x.shape} and kernels {kernels.shape}")
-    c_out, c_in, kh, kw = kernels.shape
-    if x.shape[1] != c_in:
-        raise ShapeMismatch(f"input has {x.shape[1]} channels, kernels expect {c_in}")
-    if kh > x.shape[2] + 2 * padding or kw > x.shape[3] + 2 * padding:
-        raise ShapeMismatch("kernel larger than padded input")
-    if stride < 1:
-        raise ShapeMismatch("stride must be >= 1")
-    cols, h_out, w_out = im2col(x, kh, kw, stride, padding)
-    out = cols @ kernels.reshape(c_out, -1).T
-    out = out.transpose(0, 2, 1).reshape(x.shape[0], c_out, h_out, w_out)
-    check_finite(out, "conv2d")
-    return out[0] if squeeze else out
 
 
 def softmax(v):

@@ -162,6 +162,16 @@ class TestBaselineGrid:
         assert best.lr in (0.001, 0.01)
         assert best.weight_decay == 0.0
 
+    def test_grid_search_missing_checkpoint_is_data_error(self, prep_dir,
+                                                           tiny_cfg_path, tmp_path):
+        missing = os.path.join(tmp_path, "missing.npz")
+        rc = run("grid-search", "--config", tiny_cfg_path,
+                 "--data-dir", prep_dir, "--lrs", "0.001,0.01",
+                 "--weight-decays", "0", "--method", "source_trained",
+                 "--checkpoint", missing, "--run-dir", str(tmp_path))
+        assert rc == 2
+        assert os.listdir(tmp_path) == []
+
 
 class TestReproduce:
     def test_reruns_are_bit_identical(self, prep_dir, tiny_cfg_path,

@@ -10,6 +10,8 @@ from lrsdag.seeding import derive_int, derive_rng
 
 TEMPLATES = np.random.default_rng(99).random((10, 1024))
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
+
 
 def blob_dataset(n, seed, shift=0.0, spread=0.05, split="train"):
     """Linearly separable class blobs at the 1 x 32 x 32 input shape."""
@@ -219,14 +221,14 @@ def reference_adapt(net, ds, sampler, spec, cfg, seed):
     return tuple(history)
 
 
-def _adapt_both_ways(model, kind, batch_size, n):
+def _adapt_both_ways(model, kind, batch_size, n, align_weight=1.0):
     """(encoder bytes, loss history) from engine.adapt and from the
     per-batch reference, on the same data, init, sampler and seed."""
     ds = blob_dataset(n, seed=5, shift=0.4)
     source = blob_dataset(40, seed=6)
     cfg = quick_cfg(model=model, batch_size=batch_size, max_adapt_epochs=3,
                     stop_threshold=1e-300)
-    spec = losses.AdaptationLoss(kind)
+    spec = losses.AdaptationLoss(kind, align_weight=align_weight)
     results = []
     for fit in (engine.adapt, reference_adapt):
         net = engine.build_model(model, seed=13)
@@ -244,11 +246,14 @@ class TestAdaptMatchesPerBatchReference:
     forward pass does, bit for bit."""
 
     @pytest.mark.parametrize("model", ["fcn", "cnn"])
-    @pytest.mark.parametrize("kind", ["cls_kl", "cls_norm"])
+    @pytest.mark.parametrize("kind,align_weight",
+                             [("cls_kl", 1.0), ("cls_norm", 1.0), ("cls", 1.0),
+                              ("coral", 0.0)],
+                             ids=["cls_kl", "cls_norm", "cls", "coral-w0"])
     @pytest.mark.parametrize("batch_size", [8, 16])
-    def test_bit_identical(self, model, kind, batch_size):
+    def test_bit_identical(self, model, kind, align_weight, batch_size):
         # 37 examples: short last batches of 5 rows
-        got, want = _adapt_both_ways(model, kind, batch_size, 37)
+        got, want = _adapt_both_ways(model, kind, batch_size, 37, align_weight)
         assert got == want
 
     @pytest.mark.parametrize("kind", ["cls_kl", "cls_norm"])
@@ -362,6 +367,17 @@ class TestGridSearch:
                                     pretrained_path=path)
         assert first == second
 
+    def test_missing_checkpoint_raises_and_writes_nothing(self, tmp_path):
+        # nothing may be trained into the path under the first candidate's
+        # lr and then shared by the later candidates
+        path = tmp_path / "missing.npz"
+        val = blob_dataset(30, seed=23, split="val")
+        with pytest.raises(FileNotFoundError):
+            engine.grid_search([1e-3, 1e-2], [0.0], blob_bundle(), val,
+                               quick_cfg(source_epochs=2),
+                               method="source_trained", pretrained_path=str(path))
+        assert os.listdir(tmp_path) == []
+
     def test_empty_grid_rejected(self):
         with pytest.raises(engine.ConfigError):
             engine.grid_search([], [0.0], blob_bundle(),
@@ -409,6 +425,17 @@ class TestReproduce:
         run_b = tmp_path / "b"
         engine.reproduce(bundle, cfg, str(run_b))
         assert (run_b / "report.csv").read_bytes() == report_csv
+
+    def test_report_matches_golden(self, tmp_path):
+        # tests/data/golden-report.* were written by this same call before
+        # the training and prediction loops were merged
+        bundle = blob_bundle(n_train=60, n_test=40)
+        cfg = quick_cfg(source_epochs=3, max_adapt_epochs=2)
+        engine.reproduce(bundle, cfg, str(tmp_path))
+        for name in ("report.txt", "report.csv"):
+            golden = os.path.join(GOLDEN_DIR, f"golden-{name}")
+            with open(golden, "rb") as fh:
+                assert (tmp_path / name).read_bytes() == fh.read(), name
 
     def test_source_preservation_column_constant(self, tmp_path):
         bundle = blob_bundle(n_train=60, n_test=40)

@@ -156,37 +156,21 @@ class TestGradients:
             assert err < 1e-4, f"{kind} seed {seed}: {err}"
 
 
-class TestTotalLoss:
-    def _batch(self):
-        rng = np.random.default_rng(12)
-        fS = rand_batch(rng, b=4, k=6)
-        hfT = rand_batch(rng, b=4, k=6)
-        logits = rng.normal(size=(4, 10))
-        labels = rng.integers(0, 10, size=4)
-        return fS, hfT, logits, labels
-
-    def test_cls_is_cross_entropy(self):
-        fS, hfT, logits, labels = self._batch()
-        spec = losses.AdaptationLoss("cls")
-        assert losses.total_loss(spec, fS, hfT, logits, labels) == \
-            tc.cross_entropy(logits, labels)
-
-    def test_alignment_vanishes_on_equal_batches(self):
-        fS, _, logits, labels = self._batch()
-        spec = losses.AdaptationLoss("cls_kl")
-        assert losses.total_loss(spec, fS, fS, logits, labels) == \
-            pytest.approx(tc.cross_entropy(logits, labels), abs=1e-12)
-
-    def test_zero_weight_collapses_all_kinds(self):
-        fS, hfT, logits, labels = self._batch()
-        values = {losses.total_loss(losses.AdaptationLoss(kind, align_weight=0.0),
-                                    fS, hfT, logits, labels)
-                  for kind in losses.LOSS_KINDS}
-        assert len(values) == 1
-
+class TestAdaptationLoss:
     def test_unknown_kind_rejected(self):
         with pytest.raises(losses.LossError):
             losses.AdaptationLoss("mmd")
+
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_min_rows_is_what_alignment_accepts(self, kind):
+        rows = losses.AdaptationLoss(kind).min_rows
+        rng = np.random.default_rng(13)
+        fS, hfT = rand_batch(rng, b=rows), rand_batch(rng, b=rows)
+        value, _ = losses.alignment(kind, fS, hfT)
+        assert math.isfinite(value)
+        if rows > 1:
+            with pytest.raises(losses.BatchTooSmall):
+                losses.alignment(kind, fS[:rows - 1], hfT[:rows - 1])
 
 
 def coral_oracle(fS, hfT):

@@ -125,6 +125,13 @@ class TestForward:
         np.testing.assert_array_equal(net.forward(x, use_encoder=False)[0], f)
         assert not np.array_equal(net.forward(x, use_encoder=True)[0], f)
 
+    def test_overflow_raises_nonfinite(self):
+        net = nn.build_fcn(seed=0)
+        net.n1[0].weight.value[:] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(tc.NonFiniteValue):
+                net.forward(np.full((2, 1024), 1e308))
+
 
 class TestAdam:
     def _layer_with_grad(self, g):
@@ -216,7 +223,7 @@ class TestFreezing:
     def _train_steps(self, net, steps, x, labels):
         opt = nn.Adam(net.layers(use_encoder=net.encoder is not None), lr=1e-2)
         for _ in range(steps):
-            opt.zero_grad()
+            net.zero_grad()
             _, logits = net.forward(x, use_encoder=net.encoder is not None)
             net.backward(tc.cross_entropy_grad(logits, labels),
                          use_encoder=net.encoder is not None)

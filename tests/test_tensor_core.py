@@ -3,70 +3,49 @@ import math
 import numpy as np
 import pytest
 
+from lrsdag import nn
 from lrsdag import tensor_core as tc
 
 
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(tc.matmul(a, np.eye(4)), a)
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_allclose(tc.matmul(a, b), [[19, 22], [43, 50]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(tc.ShapeMismatch):
-            tc.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            a, b, c = (rng.normal(size=(6, 6)) for _ in range(3))
-            lhs = tc.matmul(tc.matmul(a, b), c)
-            rhs = tc.matmul(a, tc.matmul(b, c))
-            np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-
-    def test_nonfinite_rejected(self):
-        a = np.array([[1e308, 1e308]])
-        with pytest.raises(tc.NonFiniteValue):
-            tc.matmul(a, np.full((2, 1), 1e308))
+def conv(x, kernels, stride=1, padding=0):
+    """nn.Conv2d with the given kernels and zero bias on a (B, C, H, W) batch."""
+    c_out, c_in, kh, kw = kernels.shape
+    layer = nn.Conv2d(c_in, c_out, kh, kw, stride=stride, padding=padding)
+    layer.weight.value[:] = kernels
+    return layer.forward(x)
 
 
 class TestConv2d:
+    """nn.Conv2d.forward, the one convolution, built on im2col."""
+
     def test_identity_kernel_exact(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(3, 5, 7))
+        x = rng.normal(size=(1, 3, 5, 7))
         k = np.zeros((3, 3, 1, 1))
         for c in range(3):
             k[c, c, 0, 0] = 1.0
-        np.testing.assert_array_equal(tc.conv2d(x, k, stride=1, padding=0), x)
+        np.testing.assert_array_equal(conv(x, k, stride=1, padding=0), x)
 
     def test_hand_convolution(self):
-        x = np.ones((1, 3, 3))
+        x = np.ones((1, 1, 3, 3))
         k = np.ones((1, 1, 2, 2))
-        out = tc.conv2d(x, k, stride=1, padding=0)
-        np.testing.assert_allclose(out, np.full((1, 2, 2), 4.0))
+        out = conv(x, k, stride=1, padding=0)
+        np.testing.assert_allclose(out, np.full((1, 1, 2, 2), 4.0))
 
     def test_output_shape_formula(self):
-        x = np.zeros((1, 32, 32))
+        x = np.zeros((1, 1, 32, 32))
         k = np.zeros((4, 1, 3, 3))
-        assert tc.conv2d(x, k, stride=1, padding=1).shape == (4, 32, 32)
-        assert tc.conv2d(x, k, stride=2, padding=1).shape == (4, 16, 16)
-
-    def test_channel_mismatch(self):
-        with pytest.raises(tc.ShapeMismatch):
-            tc.conv2d(np.zeros((2, 4, 4)), np.zeros((1, 3, 2, 2)))
+        assert conv(x, k, stride=1, padding=1).shape == (1, 4, 32, 32)
+        assert conv(x, k, stride=2, padding=1).shape == (1, 4, 16, 16)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 2, 6, 6))
         k = rng.normal(size=(3, 2, 3, 3))
-        full = tc.conv2d(x, k, stride=2, padding=1)
+        full = conv(x, k, stride=2, padding=1)
         for i in range(4):
-            np.testing.assert_array_equal(full[i], tc.conv2d(x[i], k, stride=2, padding=1))
+            np.testing.assert_array_equal(full[i:i + 1],
+                                          conv(x[i:i + 1], k, stride=2, padding=1))
 
 
 class TestSoftmax:
