@@ -403,10 +403,14 @@ def grid_search(lrs, weight_decays, bundle, val, cfg, method="lrsdag",
     Ties break toward the lower learning rate, then the lower decay.
     With `pretrained_path` every candidate starts from that phase-1
     checkpoint, which must exist; without it each candidate trains
-    phase 1 under its own lr and decay.
+    phase 1 under its own lr and decay. `target_trained` has no phase 1,
+    so a `pretrained_path` with it raises ConfigError before any training.
     """
     if not lrs or not weight_decays:
         raise ConfigError("grid must contain at least one lr and one weight_decay")
+    if method == "target_trained" and pretrained_path is not None:
+        raise ConfigError("--checkpoint does not apply to method target_trained, "
+                          "which trains a fresh model on target data only")
     best_key, best_cfg = None, None
     for lr in lrs:
         for wd in weight_decays:

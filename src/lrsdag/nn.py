@@ -130,7 +130,6 @@ class Conv2d(Layer):
         self.bias = Parameter(np.zeros(c_out))
         self._cols = None
         self._x_shape = None
-        self._out_hw = None
 
     def params(self):
         return [self.weight, self.bias]
@@ -141,23 +140,26 @@ class Conv2d(Layer):
         self._x_shape = x.shape
         cols, h_out, w_out = im2col(x, self.kh, self.kw, self.stride, self.padding)
         self._cols = cols
-        self._out_hw = (h_out, w_out)
-        out = cols @ self.weight.value.reshape(self.c_out, -1).T
-        out = out.transpose(0, 2, 1).reshape(x.shape[0], self.c_out, h_out, w_out)
+        # one GEMM per image: folded into one (K, B*Ho*Wo) product, an image's
+        # output would round differently with the batch size
+        out = self.weight.value.reshape(self.c_out, -1) @ cols
+        out = out.reshape(x.shape[0], self.c_out, h_out, w_out)
         return out + self.bias.value[None, :, None, None]
 
     def backward(self, dout):
         """Input gradient; weight gradients accumulate only when trainable."""
         from .tensor_core import col2im
 
-        b = dout.shape[0]
-        h_out, w_out = self._out_hw
-        dmat = dout.transpose(0, 2, 3, 1).reshape(b, h_out * w_out, self.c_out)
+        dmat = dout.reshape(dout.shape[0], self.c_out, -1)
         if not self.frozen:
-            dw = np.tensordot(dmat, self._cols, axes=([0, 1], [0, 1]))
+            # one GEMM over all (image, pixel) pairs, image-major; moving the
+            # batch axis copies whole pixel rows, unlike a (B*Ho*Wo, K) transpose
+            k = self._cols.shape[1]
+            dw = (dmat.transpose(1, 0, 2).reshape(self.c_out, -1)
+                  @ self._cols.transpose(1, 0, 2).reshape(k, -1).T)
             self.weight.grad += dw.reshape(self.weight.value.shape)
             self.bias.grad += dout.sum(axis=(0, 2, 3))
-        dcols = dmat @ self.weight.value.reshape(self.c_out, -1)
+        dcols = self.weight.value.reshape(self.c_out, -1).T @ dmat
         return col2im(dcols, self._x_shape, self.kh, self.kw, self.stride, self.padding)
 
     def _extra_descriptor(self):

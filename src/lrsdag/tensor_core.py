@@ -1,8 +1,10 @@
 """Dense float64 tensor primitives with hand-written gradients.
 
-Tensors are plain numpy float64 arrays (row-major). Every public operation
-either returns an all-finite array or raises. Reduction orders are fixed so
-repeated runs on the same machine are bit-identical.
+Tensors are plain numpy float64 arrays (row-major). The operations return
+what NumPy computes, non-finite values included; only `check_finite` raises
+on them (NonFiniteValue), and `nn.Network` applies it to the logits of every
+forward pass. Reduction orders are fixed so repeated runs on the same
+machine are bit-identical.
 """
 
 import numpy as np
@@ -36,37 +38,41 @@ def check_finite(x, op="tensor op"):
 
 
 def im2col(x, kh, kw, stride, padding):
-    """Unfold sliding windows of a batched image into a column matrix.
+    """Unfold each image's sliding windows into a channel-major column matrix.
 
     x: (B, C, H, W). Returns (cols, h_out, w_out) where cols has shape
-    (B, h_out*w_out, C*kh*kw). Window extraction is a strided view, so the
-    element order inside each column is (channel, kernel row, kernel col).
+    (B, C*kh*kw, h_out*w_out): one row per (channel, kernel row, kernel col)
+    in that order, one column per output pixel in row-major (h, w) order.
+    A (c_out, C*kh*kw) weight matrix times cols[b] is then image b's output
+    in (c_out, h_out, w_out) order, so NCHW needs only a reshape.
     """
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride, :, :]
     b, c, h_out, w_out = win.shape[:4]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, h_out * w_out, c * kh * kw)
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h_out * w_out)
     return np.ascontiguousarray(cols), h_out, w_out
 
 
 def col2im(cols, x_shape, kh, kw, stride, padding):
-    """Scatter-add column gradients back onto the (padded) input grid.
+    """Scatter-add column gradients onto the input grid (adjoint of `im2col`).
 
-    Inverse of the gather in `im2col` for gradient purposes: overlapping
-    windows accumulate. Loop order over kernel offsets is fixed.
+    cols: (B, C*kh*kw, h_out*w_out) in `im2col`'s layout. Overlapping
+    windows accumulate. For each kernel offset (i, j), in a fixed row-major
+    loop order, the contiguous (h_out, w_out) planes of every (B, C) are
+    added onto the strided input positions that offset reads.
     """
     b, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
     h_out = (hp - kh) // stride + 1
     w_out = (wp - kw) // stride + 1
     xp = np.zeros((b, c, hp, wp), dtype=np.float64)
-    cols6 = cols.reshape(b, h_out, w_out, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    cols6 = cols.reshape(b, c, kh, kw, h_out, w_out)
     for i in range(kh):
         for j in range(kw):
             xp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += \
-                cols6[:, :, :, :, i, j]
+                cols6[:, :, i, j]
     if padding:
         return xp[:, :, padding:hp - padding, padding:wp - padding]
     return xp

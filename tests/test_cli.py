@@ -172,6 +172,17 @@ class TestBaselineGrid:
         assert rc == 2
         assert os.listdir(tmp_path) == []
 
+    def test_grid_search_checkpoint_with_target_trained_is_config_error(
+            self, prep_dir, tiny_cfg_path, tmp_path, capsys):
+        missing = os.path.join(tmp_path, "missing.npz")
+        rc = run("grid-search", "--config", tiny_cfg_path,
+                 "--data-dir", prep_dir, "--lrs", "0.001,0.01",
+                 "--weight-decays", "0", "--method", "target_trained",
+                 "--checkpoint", missing, "--run-dir", str(tmp_path))
+        assert rc == 1
+        assert "--checkpoint" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestReproduce:
     def test_reruns_are_bit_identical(self, prep_dir, tiny_cfg_path,

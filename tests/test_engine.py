@@ -378,6 +378,18 @@ class TestGridSearch:
                                method="source_trained", pretrained_path=str(path))
         assert os.listdir(tmp_path) == []
 
+    def test_checkpoint_with_target_trained_rejected(self, pretrained, tmp_path,
+                                                      monkeypatch):
+        # target_trained never reads a phase-1 checkpoint, so one passed
+        # with it is a mistake to report, not a flag to drop silently
+        path, bundle = pretrained
+        monkeypatch.setattr(engine, "_fit", lambda *a, **k: pytest.fail("trained"))
+        val = blob_dataset(30, seed=24, split="val")
+        for ckpt in (path, str(tmp_path / "missing.npz")):
+            with pytest.raises(engine.ConfigError, match="--checkpoint"):
+                engine.grid_search([1e-3], [0.0], bundle, val, quick_cfg(),
+                                   method="target_trained", pretrained_path=ckpt)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(engine.ConfigError):
             engine.grid_search([], [0.0], blob_bundle(),

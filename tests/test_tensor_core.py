@@ -48,6 +48,55 @@ class TestConv2d:
                                           conv(x[i:i + 1], k, stride=2, padding=1))
 
 
+def conv_reference(x, w, b, stride, padding, dout):
+    """Direct nested-loop cross-correlation: (output, dx, dW, db)."""
+    n, _, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, c_out, h_out, w_out))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(n):
+        for o in range(c_out):
+            for r in range(h_out):
+                for c in range(w_out):
+                    hs = slice(r * stride, r * stride + kh)
+                    ws = slice(c * stride, c * stride + kw)
+                    patch = xp[i, :, hs, ws]
+                    out[i, o, r, c] = np.sum(patch * w[o]) + b[o]
+                    dxp[i, :, hs, ws] += dout[i, o, r, c] * w[o]
+                    dw[o] += dout[i, o, r, c] * patch
+    dx = dxp[:, :, padding:padding + h, padding:padding + wd]
+    return out, dx, dw, dout.sum(axis=(0, 2, 3))
+
+
+class TestConv2dReference:
+    """nn.Conv2d against the nested loops on shapes the CNN never uses.
+
+    A 2x3 kernel on a 7x10 map: a kh/kw or h_out/w_out mix-up in the column
+    layout changes values or shapes here, where square 3x3 layers cannot
+    tell. With stride 2 and no padding the last row and column are skipped.
+    """
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_forward_and_gradients(self, stride, padding):
+        rng = np.random.default_rng(10 + 2 * stride + padding)
+        layer = nn.Conv2d(3, 4, 2, 3, stride=stride, padding=padding, rng=rng)
+        layer.bias.value[:] = rng.normal(size=4)
+        x = rng.normal(size=(2, 3, 7, 10))
+        out = layer.forward(x)
+        dout = rng.normal(size=out.shape)
+        dx = layer.backward(dout)
+        ref = conv_reference(x, layer.weight.value, layer.bias.value,
+                             stride, padding, dout)
+        got = (out, dx, layer.weight.grad, layer.bias.grad)
+        for name, g, r in zip(("out", "dx", "dW", "db"), got, ref):
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
 class TestSoftmax:
     def test_equal_logits_uniform(self):
         out = tc.softmax(np.full(5, 3.7))
