@@ -135,16 +135,19 @@ def _load_bundle(data_dir, target_dir=None, target_train_stem="target-train"):
 
 
 def cmd_prepare_data(args):
+    # every argument is checked before the corpus is generated, which is
+    # most of the command's time, and before anything is written
+    if args.demo_size < 0:
+        raise UsageError(f"prepare-data: --demo-size must be nonnegative, "
+                         f"got {args.demo_size}")
+    syn_params = _parse_syn_params(args)
+    data.check_subsample_fraction(args.subsample_fraction)
+    data.check_val_fraction(args.val_fraction)
     if args.demo_size:
-        os.makedirs(args.mnist_dir, exist_ok=True)
         glyphs.write_corpus(args.mnist_dir, n_train=args.demo_size,
                             n_test=max(args.demo_size // 5, 10),
                             seed=args.syn_seed)
     paths = _find_mnist(args.mnist_dir)
-    syn_params = _parse_syn_params(args)
-    if not 0.0 < args.subsample_fraction <= 1.0:
-        raise data.FractionOutOfRange(
-            f"subsample fraction must be in (0, 1], got {args.subsample_fraction}")
 
     source_train = data.load_idx_dataset(paths["train_images"],
                                          paths["train_labels"],

@@ -246,6 +246,16 @@ def make_syn_mnist(ds, params):
     return replace(ds, images=out, name=f"{ds.name}-syn")
 
 
+def check_subsample_fraction(fraction):
+    if not 0.0 < fraction <= 1.0:
+        raise FractionOutOfRange(f"subsample fraction must be in (0, 1], got {fraction}")
+
+
+def check_val_fraction(val_fraction):
+    if not 0.0 < val_fraction < 1.0:
+        raise FractionOutOfRange(f"val_fraction must be in (0, 1), got {val_fraction}")
+
+
 def subsample_labeled(ds, fraction, seed):
     """Keep floor(fraction * N) examples, stratified by class.
 
@@ -255,8 +265,7 @@ def subsample_labeled(ds, fraction, seed):
     Raises:
         FractionOutOfRange: unless 0 < fraction <= 1.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise FractionOutOfRange(f"fraction must be in (0, 1], got {fraction}")
+    check_subsample_fraction(fraction)
     total = int(math.floor(fraction * len(ds) + 1e-9))
     classes, counts = np.unique(ds.labels, return_counts=True)
     ideal = fraction * counts
@@ -295,8 +304,7 @@ def batches(ds, batch_size, shuffle=False, seed=0, epoch=0):
 
 def split_train_val(ds, val_fraction, seed):
     """Split into disjoint train/val subsets, deterministic given seed."""
-    if not 0.0 < val_fraction < 1.0:
-        raise FractionOutOfRange(f"val_fraction must be in (0, 1), got {val_fraction}")
+    check_val_fraction(val_fraction)
     perm = derive_rng(seed, "split").permutation(len(ds))
     n_val = int(math.floor(val_fraction * len(ds) + 1e-9))
     val_idx = np.sort(perm[:n_val])

@@ -47,7 +47,10 @@ def im2col(x, kh, kw, stride, padding):
     in (c_out, h_out, w_out) order, so NCHW needs only a reshape.
     """
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        b, c, h, w = x.shape
+        padded = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:padding + h, padding:padding + w] = x
+        x = padded
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride, :, :]
     b, c, h_out, w_out = win.shape[:4]

@@ -96,6 +96,23 @@ class TestPrepareData:
                  "--subsample-fraction", "1.5")
         assert rc == 2
 
+    @pytest.mark.parametrize("bad, code", [
+        (("--demo-size", "-5"), 1),
+        (("--demo-size", "40", "--subsample-fraction", "0"), 2),
+        (("--demo-size", "40", "--val-fraction", "1.5"), 2),
+        (("--demo-size", "40", "--syn-params-file", "missing.txt"), 2),
+        (("--demo-size", "40", "--syn-params-file", "unknown-key.txt"), 1),
+    ], ids=["demo-size", "subsample", "val", "params-missing", "params-key"])
+    def test_bad_argument_rejected_before_corpus(self, tmp_path, capsys,
+                                                 bad, code):
+        (tmp_path / "unknown-key.txt").write_text("flip_prob = 0.5\nbogus = 1\n")
+        bad = [str(tmp_path / a) if a.endswith(".txt") else a for a in bad]
+        raw, out = tmp_path / "raw", tmp_path / "prep"
+        assert run("prepare-data", "--mnist-dir", str(raw),
+                   "--out-dir", str(out), *bad) == code
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not raw.exists() and not out.exists()
+
 
 class TestTrainSource:
     def test_artifacts(self, source_run, tiny_cfg_path):

@@ -7,6 +7,22 @@ from lrsdag import data, glyphs
 from lrsdag.tensor_core import ShapeMismatch
 
 
+def rasterize_reference(strokes, size, width, transform, offset):
+    """The textbook distance field: (P, S, 2) arrays, norm, then minimum."""
+    a, b = glyphs._segments(strokes, transform, offset)
+    centers = (np.arange(size) + 0.5) / size
+    gx, gy = np.meshgrid(centers, centers)
+    pixels = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    ab = b - a
+    denom = np.maximum((ab * ab).sum(axis=1), 1e-12)
+    ap = pixels[:, None, :] - a[None]
+    t = np.clip((ap * ab[None]).sum(axis=2) / denom[None], 0.0, 1.0)
+    nearest = a[None] + t[:, :, None] * ab[None]
+    dist = np.linalg.norm(pixels[:, None, :] - nearest, axis=2).min(axis=1)
+    ink = np.clip((width - dist) / (0.6 * width), 0.0, 1.0)
+    return ink.reshape(size, size)
+
+
 def toy_dataset(n=60, seed=0, size=28):
     rng = np.random.default_rng(seed)
     images = rng.random((n, 1, size, size))
@@ -257,3 +273,45 @@ class TestGlyphCorpus:
         assert len(ds) == 30
         assert ds.images.shape == (30, 1, 28, 28)
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+
+
+class TestRasterizer:
+    """glyphs._rasterize against the textbook form, bit for bit."""
+
+    @staticmethod
+    def jitters():
+        # the corners of render_digit's ranges, then seeded draws inside them
+        for angle, scale, offset, width in (
+                (-0.20, (0.82, 0.82), (-0.06, -0.06), 0.045),
+                (0.20, (1.10, 1.10), (0.06, 0.06), 0.075),
+                (0.20, (0.82, 1.10), (-0.06, 0.06), 0.045),
+                (-0.20, (1.10, 0.82), (0.06, -0.06), 0.075)):
+            yield angle, np.array(scale), np.array(offset), width
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            yield (rng.uniform(-0.20, 0.20), rng.uniform(0.82, 1.10, size=2),
+                   rng.uniform(-0.06, 0.06, size=2), rng.uniform(0.045, 0.075))
+
+    @pytest.mark.parametrize("digit", range(10))
+    def test_equals_reference(self, digit):
+        for angle, scale, offset, width in self.jitters():
+            rot = np.array([[np.cos(angle), -np.sin(angle)],
+                            [np.sin(angle), np.cos(angle)]])
+            args = (glyphs.GLYPHS[digit], 28, width, rot @ np.diag(scale), offset)
+            np.testing.assert_array_equal(glyphs._rasterize(*args),
+                                          rasterize_reference(*args))
+
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_corpus_bytes_equal_reference(self, seed, monkeypatch):
+        images, labels = glyphs.generate_digits(60, seed)
+        monkeypatch.setattr(glyphs, "_rasterize", rasterize_reference)
+        ref_images, ref_labels = glyphs.generate_digits(60, seed)
+        assert images.tobytes() == ref_images.tobytes()
+        np.testing.assert_array_equal(labels, ref_labels)
+
+    def test_repeat_calls_leave_grid_untouched(self):
+        args = (glyphs.GLYPHS[8], 28, 0.06, np.eye(2), np.zeros(2))
+        first = glyphs._rasterize(*args)
+        np.testing.assert_array_equal(glyphs._rasterize(*args), first)
+        np.testing.assert_array_equal(glyphs._rasterize(*args),
+                                      rasterize_reference(*args))

@@ -97,6 +97,21 @@ class TestConv2dReference:
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
+class TestIm2col:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_matches_np_pad_reference(self, stride, padding):
+        """The zero-buffer padding gives the columns of an np.pad'ed input."""
+        x = np.random.default_rng(20 + padding).normal(size=(2, 3, 7, 10))
+        cols, h_out, w_out = tc.im2col(x, 2, 3, stride, padding)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (2, 3), axis=(2, 3))
+        win = win[:, :, ::stride, ::stride]
+        assert (h_out, w_out) == win.shape[2:4]
+        ref = win.transpose(0, 1, 4, 5, 2, 3).reshape(2, 3 * 2 * 3, h_out * w_out)
+        np.testing.assert_array_equal(cols, ref)
+
+
 class TestSoftmax:
     def test_equal_logits_uniform(self):
         out = tc.softmax(np.full(5, 3.7))
