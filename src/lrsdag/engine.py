@@ -9,6 +9,7 @@ through the frozen head as a conduit.  Removing the encoder afterwards
 restores the phase-1 model bit for bit.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -133,6 +134,22 @@ def checksum(net, blocks=("n1", "n2")):
     return hashlib.sha256(net.param_bytes(blocks)).hexdigest()
 
 
+@contextlib.contextmanager
+def _frozen_unchanged(net, blocks, during):
+    """Raise EngineError, naming the block, if any bit of the named blocks'
+    parameters differs after the body from before it.
+
+    Compares raw bits, so even 0.0 -> -0.0 counts as a change.
+    """
+    saved = {name: [p.value.copy() for p in net.all_params((name,))]
+             for name in blocks}
+    yield
+    for name, values in saved.items():
+        for p, v in zip(net.all_params((name,)), values):
+            if not np.array_equal(p.value.view(np.uint64), v.view(np.uint64)):
+                raise EngineError(f"frozen block {name} changed during {during}")
+
+
 def config_hash(cfg):
     return hashlib.sha256(
         json.dumps(cfg.snapshot(), sort_keys=True).encode()).hexdigest()[:16]
@@ -238,7 +255,8 @@ def adapt(net, target_train, sampler, loss_spec, cfg, seed=None):
     backpropagates through N2 (input gradients only) into the encoder.
     Batches too small for the alignment term (loss_spec.min_rows) are
     skipped.  Stops on the epoch-loss delta falling under
-    cfg.stop_threshold or after cfg.max_adapt_epochs.
+    cfg.stop_threshold or after cfg.max_adapt_epochs.  Raises EngineError
+    if any bit of N1 or N2 differs afterwards.
     """
     seed = cfg.seed if seed is None else seed
     nn.build_encoder(net, seed, noise_scale=cfg.encoder_noise)
@@ -253,9 +271,11 @@ def adapt(net, target_train, sampler, loss_spec, cfg, seed=None):
         value, grad = losses.alignment(loss_spec.kind, ref, flat)
         return weight * value, (weight * grad).reshape(split.shape)
 
-    history = _train(net, target_train, cfg, seed, "adapt", cfg.max_adapt_epochs,
-                     align=align, min_rows=loss_spec.min_rows,
-                     stop_threshold=cfg.stop_threshold)
+    with _frozen_unchanged(net, ("n1", "n2"), "adaptation"):
+        history = _train(net, target_train, cfg, seed, "adapt",
+                         cfg.max_adapt_epochs, align=align,
+                         min_rows=loss_spec.min_rows,
+                         stop_threshold=cfg.stop_threshold)
     return net, history
 
 
@@ -285,14 +305,11 @@ def _fit(bundle, cfg, method, seed, pretrained_path=None):
     """Train one method end to end; returns (net, loss_history)."""
     if method == "lrsdag":
         net, _ = _load_or_train_source(bundle, cfg, seed, pretrained_path)
-        before = checksum(net)
         loss_spec = losses.AdaptationLoss(cfg.loss, align_weight=cfg.align_weight)
         sampler = (source_sampler(net, bundle.source_train, cfg, seed)
                    if loss_spec.needs_sampler else None)
         _, history = adapt(net, bundle.target_train, sampler, loss_spec, cfg,
                            seed=seed)
-        if checksum(net) != before:
-            raise EngineError("frozen blocks changed during adaptation")
         return net, tuple(history)
     if method == "source_trained":
         return _load_or_train_source(bundle, cfg, seed, pretrained_path)
@@ -304,12 +321,11 @@ def _fit(bundle, cfg, method, seed, pretrained_path=None):
         return net, tuple(history)
     if method == "finetune_n2":
         net, _ = _load_or_train_source(bundle, cfg, seed, pretrained_path)
-        before = checksum(net, blocks=("n1",))
         nn.set_frozen(net, ("n1",), True)
-        history = _train(net, bundle.target_train, cfg, seed, "finetune",
-                         cfg.max_adapt_epochs, stop_threshold=cfg.stop_threshold)
-        if checksum(net, blocks=("n1",)) != before:
-            raise EngineError("frozen front block changed during finetuning")
+        with _frozen_unchanged(net, ("n1",), "finetuning"):
+            history = _train(net, bundle.target_train, cfg, seed, "finetune",
+                             cfg.max_adapt_epochs,
+                             stop_threshold=cfg.stop_threshold)
         return net, tuple(history)
     raise ConfigError(f"unknown method {method!r}")
 

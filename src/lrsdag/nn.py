@@ -312,7 +312,16 @@ class Network:
         return d
 
     def zero_grad(self):
+        """Zero the gradients of trainable layers.
+
+        Frozen layers never accumulate a gradient and `Adam` never reads
+        theirs, so their buffers are left as they are; a layer unfrozen
+        later is zeroed here, like any trainable one, before its first
+        backward pass.
+        """
         for layer in self.layers(use_encoder=self.encoder is not None):
+            if layer.frozen:
+                continue
             for p in layer.params():
                 p.grad.fill(0.0)
 
@@ -409,6 +418,20 @@ class Adam:
 
     Frozen layers are skipped at step time, so their parameters stay
     bit-identical no matter how many steps run. lr=0 is the identity.
+
+    The update runs in place: each parameter keeps its moments `m` and
+    `v`, and every temporary lives in two float scratch buffers and one
+    bool buffer shared by all parameters of the optimizer, sized to the
+    largest trainable one (about 2 x its bytes, plus one byte per element).
+    Each element sees the operations of the textbook formula in the same
+    order, so the result is bit-identical to
+
+        m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        p -= lr * (m / c1) / (sqrt(v / c2) + eps);  p -= lr * wd * p_old
+
+    with c1 = 1 - b1**t, c2 = 1 - b2**t.  A step is all or nothing: every
+    trainable gradient is checked before any parameter or moment changes,
+    and a non-finite one raises NonFiniteGradient.
     """
 
     def __init__(self, layers, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8,
@@ -420,30 +443,50 @@ class Adam:
         self.epsilon = epsilon
         self.weight_decay = weight_decay
         self._state = {}
+        self._scratch = (np.empty(0), np.empty(0), np.empty(0, dtype=bool))
 
     def step(self):
-        for layer in self.layers:
-            if layer.frozen:
-                continue
-            for p in layer.params():
-                g = p.grad
-                if not np.all(np.isfinite(g)):
-                    raise NonFiniteGradient("non-finite gradient in Adam step")
-                state = self._state.get(id(p))
-                if state is None:
-                    state = {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": 0}
-                    self._state[id(p)] = state
-                state["t"] += 1
-                t = state["t"]
-                state["m"] = self.beta1 * state["m"] + (1.0 - self.beta1) * g
-                state["v"] = self.beta2 * state["v"] + (1.0 - self.beta2) * g * g
-                m_hat = state["m"] / (1.0 - self.beta1 ** t)
-                v_hat = state["v"] / (1.0 - self.beta2 ** t)
+        params = [p for layer in self.layers if not layer.frozen
+                  for p in layer.params()]
+        size = max((p.value.size for p in params), default=0)
+        if self._scratch[0].size < size:
+            self._scratch = (np.empty(size), np.empty(size),
+                             np.empty(size, dtype=bool))
+        for p in params:
+            ok = self._scratch[2][:p.grad.size].reshape(p.grad.shape)
+            np.isfinite(p.grad, out=ok)
+            if not ok.all():
+                raise NonFiniteGradient("non-finite gradient in Adam step")
+        b1, b2, lr = self.beta1, self.beta2, self.lr
+        for p in params:
+            g = p.grad
+            state = self._state.get(id(p))
+            if state is None:
+                state = {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": 0}
+                self._state[id(p)] = state
+            state["t"] += 1
+            t = state["t"]
+            m, v = state["m"], state["v"]
+            a, b = (buf[:g.size].reshape(g.shape) for buf in self._scratch[:2])
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v *= b2
+            v += a
+            np.divide(m, 1.0 - b1 ** t, out=a)
+            np.divide(v, 1.0 - b2 ** t, out=b)
+            np.sqrt(b, out=b)
+            b += self.epsilon
+            a *= lr
+            a /= b
+            if self.weight_decay:
                 # decoupled decay of the pre-update weights (AdamW)
-                decay = self.lr * self.weight_decay * p.value if self.weight_decay else None
-                p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
-                if decay is not None:
-                    p.value -= decay
+                np.multiply(p.value, lr * self.weight_decay, out=b)
+            p.value -= a
+            if self.weight_decay:
+                p.value -= b
 
 
 def save_checkpoint(network, path, meta=None):

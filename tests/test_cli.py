@@ -151,6 +151,18 @@ class TestAdaptEvaluate:
         report = open(os.path.join(run_dir, "report.csv")).read()
         assert "source_without" in report
 
+    @pytest.mark.parametrize("case", ["n2_ulp", "n1_signed_zero"])
+    def test_frozen_change_exits_2_without_checkpoint(
+            self, prep_dir, tiny_cfg_path, source_run, tmp_path, tamper_frozen,
+            capsys, case):
+        ckpt, block = tamper_frozen(case, os.path.join(source_run, "source.npz"))
+        run_dir = str(tmp_path / "run")
+        rc = run("adapt", "--config", tiny_cfg_path, "--data-dir", prep_dir,
+                 "--checkpoint", ckpt, "--run-dir", run_dir)
+        assert rc == 2
+        assert f"frozen block {block}" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(run_dir, "adapted.npz"))
+
     def test_run_dir_env_var(self, prep_dir, tiny_cfg_path, source_run,
                              tmp_path, monkeypatch):
         monkeypatch.setenv("LRSDAG_RUN_DIR", str(tmp_path))

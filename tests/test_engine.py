@@ -312,6 +312,25 @@ class TestBaselines:
             engine.run_baseline("oracle", blob_bundle(), quick_cfg())
 
 
+class TestFreezeCheck:
+    @pytest.mark.parametrize("case", ["n2_ulp", "n1_signed_zero"])
+    def test_frozen_change_fails_adaptation(self, pretrained, tamper_frozen,
+                                            case):
+        path, bundle = pretrained
+        ckpt, block = tamper_frozen(case, path)
+        with pytest.raises(engine.EngineError, match=f"frozen block {block}"):
+            engine.run_lrsdag(bundle, quick_cfg(loss="cls", max_adapt_epochs=2),
+                              pretrained_path=ckpt)
+
+    def test_n1_signed_zero_fails_finetune(self, pretrained, tamper_frozen):
+        path, bundle = pretrained
+        ckpt, _ = tamper_frozen("n1_signed_zero", path)
+        with pytest.raises(engine.EngineError, match="frozen block n1"):
+            engine.run_baseline("finetune_n2", bundle,
+                                quick_cfg(max_adapt_epochs=2),
+                                pretrained_path=ckpt)
+
+
 class TestRunTrials:
     def test_single_trial_average_equals_record(self, pretrained):
         path, bundle = pretrained

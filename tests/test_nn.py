@@ -133,6 +133,44 @@ class TestForward:
                 net.forward(np.full((2, 1024), 1e308))
 
 
+class ReferenceAdam:
+    """The allocating Adam update that `nn.Adam` replaced; the in-place one
+    must match it bit for bit."""
+
+    def __init__(self, layers, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8,
+                 weight_decay=0.0):
+        self.layers = list(layers)
+        self.lr, self.beta1, self.beta2 = lr, beta1, beta2
+        self.epsilon, self.weight_decay = epsilon, weight_decay
+        self._state = {}
+
+    def step(self):
+        for layer in self.layers:
+            if layer.frozen:
+                continue
+            for p in layer.params():
+                g = p.grad
+                state = self._state.setdefault(
+                    id(p), {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": 0})
+                state["t"] += 1
+                t = state["t"]
+                state["m"] = self.beta1 * state["m"] + (1.0 - self.beta1) * g
+                state["v"] = self.beta2 * state["v"] + (1.0 - self.beta2) * g * g
+                m_hat = state["m"] / (1.0 - self.beta1 ** t)
+                v_hat = state["v"] / (1.0 - self.beta2 ** t)
+                decay = self.lr * self.weight_decay * p.value if self.weight_decay else None
+                p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+                if decay is not None:
+                    p.value -= decay
+
+
+def mixed_layers(seed):
+    """FCN- and CNN-shaped layers of several sizes; the largest comes last."""
+    rng = np.random.default_rng(seed)
+    return [nn.Linear(48, 10, rng), nn.Conv2d(3, 8, 3, 3, rng=rng),
+            nn.Linear(64, 48, rng), nn.Conv2d(8, 16, 5, 5, rng=rng)]
+
+
 class TestAdam:
     def _layer_with_grad(self, g):
         layer = nn.Linear(3, 2, rng=np.random.default_rng(0))
@@ -188,6 +226,46 @@ class TestAdam:
         layer = self._layer_with_grad(np.nan)
         with pytest.raises(nn.NonFiniteGradient):
             nn.Adam([layer]).step()
+
+    def test_nonfinite_bias_gradient_changes_nothing(self):
+        layer = self._layer_with_grad(0.5)
+        layer.bias.grad[:] = 0.25
+        opt = nn.Adam([layer], lr=0.1, weight_decay=0.1)
+        opt.step()
+        state = opt._state[id(layer.weight)]
+        before = (layer.weight.value.tobytes(), state["m"].tobytes(),
+                  state["v"].tobytes(), state["t"])
+        layer.bias.grad[1] = np.nan
+        with pytest.raises(nn.NonFiniteGradient):
+            opt.step()
+        assert (layer.weight.value.tobytes(), state["m"].tobytes(),
+                state["v"].tobytes(), state["t"]) == before
+
+    @pytest.mark.parametrize("lr,wd", [(1e-2, 0.0), (1e-2, 0.1), (0.0, 0.0), (0.0, 0.1)])
+    def test_matches_allocating_reference(self, lr, wd):
+        ours, ref = mixed_layers(5), mixed_layers(5)
+        # frozen at first, so the shared scratch has to grow once it steps
+        ours[-1].frozen = ref[-1].frozen = True
+        opt = nn.Adam(ours, lr=lr, weight_decay=wd)
+        ref_opt = ReferenceAdam(ref, lr=lr, weight_decay=wd)
+        rng = np.random.default_rng(6)
+        for step in range(8):
+            if step == 3:
+                ours[-1].frozen = ref[-1].frozen = False
+            for a, b in zip(ours, ref):
+                for pa, pb in zip(a.params(), b.params()):
+                    pa.grad[:] = pb.grad[:] = rng.normal(scale=10.0 ** rng.integers(-6, 2),
+                                                         size=pa.grad.shape)
+            opt.step()
+            ref_opt.step()
+            for a, b in zip(ours, ref):
+                for pa, pb in zip(a.params(), b.params()):
+                    assert pa.value.tobytes() == pb.value.tobytes(), step
+        for a, b in zip(ours, ref):
+            for pa, pb in zip(a.params(), b.params()):
+                for key in ("m", "v", "t"):
+                    assert (np.asarray(opt._state[id(pa)][key]).tobytes()
+                            == np.asarray(ref_opt._state[id(pb)][key]).tobytes())
 
 
 class TestFrozenBackward:
@@ -251,6 +329,18 @@ class TestFreezing:
         nn.set_frozen(net, ("n1",), False)
         self._train_steps(net, 3, x, labels)
         assert net.param_bytes(("n1",)) != raw
+
+    def test_zero_grad_skips_frozen_layers(self):
+        net = nn.build_fcn(seed=0)
+        nn.build_encoder(net, seed=1)
+        nn.set_frozen(net, ("n1", "n2"), True)
+        for p in net.all_params():
+            p.grad[:] = 1.5
+        stale = net.all_params(("n1", "n2"))
+        raw = [p.grad.tobytes() for p in stale]
+        net.zero_grad()
+        assert all(not p.grad.any() for p in net.all_params(("encoder",)))
+        assert [p.grad.tobytes() for p in stale] == raw
 
     def test_freeze_missing_encoder(self):
         with pytest.raises(nn.EncoderMissing):
