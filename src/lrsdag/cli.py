@@ -35,9 +35,6 @@ _MNIST_NAMES = {
     "test_labels": ("t10k-labels-idx1-ubyte", "test-labels.idx"),
 }
 
-_SYN_FLOAT_KEYS = ("flip_prob", "shear_max_deg", "brightness_lo",
-                   "brightness_hi", "contrast_lo", "contrast_hi")
-
 
 class UsageError(Exception):
     pass
@@ -80,24 +77,8 @@ def _parse_syn_params(args):
               "contrast_lo": 0.7, "contrast_hi": 1.3}
     if args.syn_params_file:
         with open(args.syn_params_file, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh.read().splitlines(), start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise config_file.ParseError(
-                        f"line {lineno}: expected 'key = value'", lineno)
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in _SYN_FLOAT_KEYS:
-                    raise config_file.UnknownKey(
-                        f"line {lineno}: unknown key {key!r}", lineno)
-                try:
-                    values[key] = float(value.strip())
-                except ValueError:
-                    raise config_file.ParseError(
-                        f"line {lineno}: cannot parse {key} as float",
-                        lineno) from None
+            values.update(config_file.parse_assignments(
+                fh.read(), dict.fromkeys(values, float)))
     return data.SynParams(
         flip_prob=values["flip_prob"],
         shear_max_deg=values["shear_max_deg"],
@@ -229,21 +210,20 @@ def cmd_adapt(args):
                                   "train")
     run_dir = _run_dir(args)
     os.makedirs(run_dir, exist_ok=True)
-    loss_spec = losses.AdaptationLoss(cfg.loss, align_weight=cfg.align_weight)
+    loss = losses.AdaptationLoss(cfg.loss)
     sampler = None
-    if loss_spec.needs_sampler:
+    if loss.needs_sampler:
         source_train = _load_prepared(args.data_dir, "source-train", "source",
                                       "train")
         sampler = engine.source_sampler(net, source_train, cfg, cfg.seed)
-    _, history = engine.adapt(net, target_train, sampler, loss_spec, cfg,
-                              seed=cfg.seed)
+    _, history = engine.adapt(net, target_train, sampler, cfg, seed=cfg.seed)
     adapted = os.path.join(run_dir, "adapted.npz")
-    engine._atomic_checkpoint(net, adapted,
-                              meta={"phase": "adapted", "loss": cfg.loss,
-                                    "sampling": cfg.sampling, "seed": cfg.seed})
+    nn.save_checkpoint(net, adapted,
+                       meta={"phase": "adapted", "loss": cfg.loss,
+                             "sampling": cfg.sampling, "seed": cfg.seed})
     engine._write_loss_csv(os.path.join(run_dir, "adapt-loss.csv"), history)
     config_file.write_resolved(cfg, os.path.join(run_dir, "config-resolved.txt"))
-    print(f"adapted with {loss_spec.display}/{cfg.sampling} for "
+    print(f"adapted with {loss.display}/{cfg.sampling} for "
           f"{len(history)} epochs; checkpoint at {adapted}")
     return 0
 
@@ -380,8 +360,7 @@ def build_parser():
                       help="comma-separated learning rates")
     grid.add_argument("--weight-decays", required=True,
                       help="comma-separated weight decays")
-    grid.add_argument("--method", default="lrsdag",
-                      choices=("lrsdag",) + engine.BASELINE_KINDS)
+    grid.add_argument("--method", default="lrsdag", choices=tuple(engine.METHODS))
     grid.add_argument("--checkpoint", default=None,
                       help="existing phase-1 checkpoint shared by every "
                            "candidate; without it each trains its own")

@@ -27,26 +27,15 @@ class UnknownKey(ConfigFileError):
         self.line = line
 
 
-_DEFAULTS = ExperimentConfig()
-
-FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _convert(key, text, lineno):
-    kind = type(getattr(_DEFAULTS, key))
-    if kind is str:
-        return text
-    try:
-        return kind(text)
-    except ValueError:
-        raise ParseError(
-            f"line {lineno}: cannot parse {key} = {text!r} as {kind.__name__}",
-            lineno) from None
-
-
-def parse_text(text):
-    """Parse configuration text into an ExperimentConfig."""
-    seen = {}
+def parse_assignments(text, types):
+    """{key: value} from `key = value` lines, each value converted by
+    `types[key]`; `#` starts a comment.  A line without `=`, a key not
+    in `types`, a repeated key or a value that does not convert raises,
+    naming the line."""
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -58,12 +47,23 @@ def parse_text(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in FIELD_NAMES:
+        if key not in types:
             raise UnknownKey(f"line {lineno}: unknown key {key!r}", lineno)
-        if key in seen:
+        if key in values:
             raise ParseError(f"line {lineno}: duplicate key {key!r}", lineno)
-        seen[key] = _convert(key, value, lineno)
-    return ExperimentConfig(**seen)
+        kind = types[key]
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: cannot parse {key} = {value!r} as {kind.__name__}",
+                lineno) from None
+    return values
+
+
+def parse_text(text):
+    """Parse configuration text into an ExperimentConfig."""
+    return ExperimentConfig(**parse_assignments(text, _FIELD_TYPES))
 
 
 def load(path):

@@ -7,6 +7,7 @@ choices are seeded, so two runs with equal configuration produce
 bit-identical datasets.
 """
 
+import contextlib
 import math
 import os
 import struct
@@ -99,20 +100,29 @@ class SynParams:
                    brightness=(1.0, 1.0), contrast=(1.0, 1.0), seed=seed)
 
 
-def atomic_write_bytes(path, payload):
-    """Write a file via a temporary name and rename, so readers never
-    observe a partial file."""
+@contextlib.contextmanager
+def atomic_open(path):
+    """A binary file handle on a temporary name in `path`'s directory,
+    renamed to `path` when the block ends, so readers never observe a
+    partial file; if the block raises, the temporary file is removed and
+    `path` is left as it was."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def atomic_write_bytes(path, payload):
+    """Write `payload` to `path` through `atomic_open`."""
+    with atomic_open(path) as fh:
+        fh.write(payload)
 
 
 def atomic_write_text(path, text):

@@ -9,13 +9,12 @@ through the frozen head as a conduit.  Removing the encoder afterwards
 restores the phase-1 model bit for bit.
 """
 
-import contextlib
 import hashlib
 import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -24,14 +23,6 @@ from . import tensor_core as tc
 from .seeding import derive_int, derive_rng
 
 MODELS = ("fcn", "cnn")
-
-BASELINE_KINDS = ("source_trained", "target_trained", "finetune_n2")
-
-BASELINE_DISPLAY = {
-    "source_trained": "Source only",
-    "target_trained": "Target only",
-    "finetune_n2": "Finetune N2",
-}
 
 
 class EngineError(Exception):
@@ -72,6 +63,10 @@ class ExperimentConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.loss not in losses.LOSS_KINDS:
@@ -134,22 +129,6 @@ def checksum(net, blocks=("n1", "n2")):
     return hashlib.sha256(net.param_bytes(blocks)).hexdigest()
 
 
-@contextlib.contextmanager
-def _frozen_unchanged(net, blocks, during):
-    """Raise EngineError, naming the block, if any bit of the named blocks'
-    parameters differs after the body from before it.
-
-    Compares raw bits, so even 0.0 -> -0.0 counts as a change.
-    """
-    saved = {name: [p.value.copy() for p in net.all_params((name,))]
-             for name in blocks}
-    yield
-    for name, values in saved.items():
-        for p, v in zip(net.all_params((name,)), values):
-            if not np.array_equal(p.value.view(np.uint64), v.view(np.uint64)):
-                raise EngineError(f"frozen block {name} changed during {during}")
-
-
 def config_hash(cfg):
     return hashlib.sha256(
         json.dumps(cfg.snapshot(), sort_keys=True).encode()).hexdigest()[:16]
@@ -196,8 +175,14 @@ def _train(net, ds, cfg, seed, tag, epochs, align=None, min_rows=1,
     Each step takes the cross-entropy plus, given `align(split, n)`, the
     weighted alignment value and split gradient it returns; `align` also
     puts the encoder in the forward, backward and optimizer.  Batches
-    under `min_rows` rows are skipped; frozen layers never step.
+    under `min_rows` rows are skipped; frozen layers never step.  The
+    parameters of every frozen layer are copied before the loop, and
+    EngineError, naming the block, is raised if any bit of them differs
+    after it (so even 0.0 -> -0.0 counts as a change).
     """
+    frozen = [(name, p, p.value.copy())
+              for name, layers in net.blocks().items()
+              for layer in layers if layer.frozen for p in layer.params()]
     use_encoder = align is not None
     opt = nn.Adam(net.layers(use_encoder=use_encoder), lr=cfg.lr,
                   weight_decay=cfg.weight_decay)
@@ -231,6 +216,9 @@ def _train(net, ds, cfg, seed, tag, epochs, align=None, min_rows=1,
         history.append(total / count)
         if stop_threshold is not None and stopping_check(history, stop_threshold):
             break
+    for name, p, saved in frozen:
+        if not np.array_equal(p.value.view(np.uint64), saved.view(np.uint64)):
+            raise EngineError(f"frozen block {name} changed during the {tag} fit")
     return history
 
 
@@ -241,41 +229,42 @@ def train_source(net, source_train, cfg, seed=None, checkpoint_path=None):
     seed = cfg.seed if seed is None else seed
     history = _train(net, source_train, cfg, seed, "source", cfg.source_epochs)
     if checkpoint_path is not None:
-        _atomic_checkpoint(net, checkpoint_path,
+        nn.save_checkpoint(net, checkpoint_path,
                            meta={"phase": "source", "seed": seed})
     return net, history
 
 
-def adapt(net, target_train, sampler, loss_spec, cfg, seed=None):
+def adapt(net, target_train, sampler, cfg, seed=None):
     """Phase 2: insert the encoder and align target features to source.
 
-    N1 and N2 are frozen; only encoder parameters step.  The N1 features
-    f(T) of the whole target set are computed once, before the first
-    epoch; each step runs the encoder and N2 on its rows of them, and
-    backpropagates through N2 (input gradients only) into the encoder.
-    Batches too small for the alignment term (loss_spec.min_rows) are
-    skipped.  Stops on the epoch-loss delta falling under
-    cfg.stop_threshold or after cfg.max_adapt_epochs.  Raises EngineError
-    if any bit of N1 or N2 differs afterwards.
+    The objective is cfg.loss with weight cfg.align_weight; a loss that
+    needs reference features without a `sampler` raises EngineError
+    before the network is touched.  N1 and N2 are frozen; only encoder
+    parameters step, and `_train` raises EngineError if any bit of N1 or
+    N2 differs afterwards.  The N1 features f(T) of the whole target set
+    are computed once, before the first epoch; each step runs the
+    encoder and N2 on its rows of them, and backpropagates through N2
+    (input gradients only) into the encoder.  Batches too small for the
+    alignment term are skipped.  Stops on the epoch-loss delta falling
+    under cfg.stop_threshold or after cfg.max_adapt_epochs.
     """
     seed = cfg.seed if seed is None else seed
+    loss = losses.AdaptationLoss(cfg.loss, align_weight=cfg.align_weight)
+    if loss.needs_sampler and sampler is None:
+        raise EngineError(f"loss {loss.kind!r} needs a feature sampler")
     nn.build_encoder(net, seed, noise_scale=cfg.encoder_noise)
     nn.set_frozen(net, ("n1", "n2"), True)
-    if loss_spec.needs_sampler and sampler is None:
-        raise EngineError(f"loss {loss_spec.kind!r} needs a feature sampler")
-    weight = loss_spec.align_weight
+    weight = loss.align_weight
 
     def align(split, n):
         flat = split.reshape(n, -1)
-        ref = sampler.draw(n) if loss_spec.needs_sampler else flat
-        value, grad = losses.alignment(loss_spec.kind, ref, flat)
+        ref = sampler.draw(n) if loss.needs_sampler else flat
+        value, grad = losses.alignment(loss.kind, ref, flat)
         return weight * value, (weight * grad).reshape(split.shape)
 
-    with _frozen_unchanged(net, ("n1", "n2"), "adaptation"):
-        history = _train(net, target_train, cfg, seed, "adapt",
-                         cfg.max_adapt_epochs, align=align,
-                         min_rows=loss_spec.min_rows,
-                         stop_threshold=cfg.stop_threshold)
+    history = _train(net, target_train, cfg, seed, "adapt", cfg.max_adapt_epochs,
+                     align=align, min_rows=loss.min_rows,
+                     stop_threshold=cfg.stop_threshold)
     return net, history
 
 
@@ -293,58 +282,95 @@ def _pretrain(bundle, cfg, seed):
     return net, tuple(history)
 
 
-def _load_or_train_source(bundle, cfg, seed, pretrained_path):
-    """The phase-1 model at `pretrained_path` (which must exist), or a new one."""
-    if pretrained_path is None:
-        return _pretrain(bundle, cfg, seed)
-    net, _ = nn.load_checkpoint(pretrained_path)
-    return net, ()
+def _lrsdag_step(net, bundle, cfg, seed):
+    sampler = (source_sampler(net, bundle.source_train, cfg, seed)
+               if losses.AdaptationLoss(cfg.loss).needs_sampler else None)
+    return adapt(net, bundle.target_train, sampler, cfg, seed=seed)
+
+
+def _target_step(_, bundle, cfg, seed):
+    # trains purely on the target subset; source data is never read
+    net = build_model(cfg.model, derive_int(seed, "target-init"))
+    return net, _train(net, bundle.target_train, cfg, seed, "target",
+                       cfg.source_epochs)
+
+
+def _finetune_step(net, bundle, cfg, seed):
+    nn.set_frozen(net, ("n1",), True)
+    return net, _train(net, bundle.target_train, cfg, seed, "finetune",
+                       cfg.max_adapt_epochs, stop_threshold=cfg.stop_threshold)
+
+
+def _lrsdag_row(cfg):
+    loss = losses.AdaptationLoss(cfg.loss)
+    return loss.display, cfg.sampling if loss.needs_sampler else "-"
+
+
+@dataclass(frozen=True)
+class Method:
+    """One method of the comparison table.
+
+    `row(cfg)` gives its report cells (method, sampling).  `pretrained`
+    says whether it starts from the trial's phase-1 model.
+    `phase2(net, bundle, cfg, seed)` trains on from that model (None
+    without `pretrained`) and returns (net, loss_history); a method
+    without a phase-2 step reports the phase-1 model.
+    """
+
+    row: object
+    pretrained: bool
+    phase2: object
+
+
+METHODS = {
+    "lrsdag": Method(_lrsdag_row, True, _lrsdag_step),
+    "source_trained": Method(lambda cfg: ("Source only", "-"), True, None),
+    "target_trained": Method(lambda cfg: ("Target only", "-"), False,
+                             _target_step),
+    "finetune_n2": Method(lambda cfg: ("Finetune N2", "-"), True,
+                          _finetune_step),
+}
+
+BASELINE_KINDS = tuple(name for name in METHODS if name != "lrsdag")
+
+
+def _method(name):
+    if name not in METHODS:
+        raise ConfigError(f"unknown method {name!r}")
+    return METHODS[name]
 
 
 def _fit(bundle, cfg, method, seed, pretrained_path=None):
-    """Train one method end to end; returns (net, loss_history)."""
-    if method == "lrsdag":
-        net, _ = _load_or_train_source(bundle, cfg, seed, pretrained_path)
-        loss_spec = losses.AdaptationLoss(cfg.loss, align_weight=cfg.align_weight)
-        sampler = (source_sampler(net, bundle.source_train, cfg, seed)
-                   if loss_spec.needs_sampler else None)
-        _, history = adapt(net, bundle.target_train, sampler, loss_spec, cfg,
-                           seed=seed)
-        return net, tuple(history)
-    if method == "source_trained":
-        return _load_or_train_source(bundle, cfg, seed, pretrained_path)
-    if method == "target_trained":
-        # trains purely on the target subset; source data is never read
-        net = build_model(cfg.model, derive_int(seed, "target-init"))
-        history = _train(net, bundle.target_train, cfg, seed, "target",
-                         cfg.source_epochs)
-        return net, tuple(history)
-    if method == "finetune_n2":
-        net, _ = _load_or_train_source(bundle, cfg, seed, pretrained_path)
-        nn.set_frozen(net, ("n1",), True)
-        with _frozen_unchanged(net, ("n1",), "finetuning"):
-            history = _train(net, bundle.target_train, cfg, seed, "finetune",
-                             cfg.max_adapt_epochs,
-                             stop_threshold=cfg.stop_threshold)
-        return net, tuple(history)
-    raise ConfigError(f"unknown method {method!r}")
+    """Train one method end to end; returns (net, loss_history).
+
+    A method that starts from phase 1 loads `pretrained_path`, which must
+    exist, or trains a phase-1 model when it is None; that model's loss
+    history is the fit's unless a phase-2 step follows.
+    """
+    entry = _method(method)
+    net, history = None, ()
+    if entry.pretrained and pretrained_path is None:
+        net, history = _pretrain(bundle, cfg, seed)
+    elif entry.pretrained:
+        net, _ = nn.load_checkpoint(pretrained_path)
+    if entry.phase2 is not None:
+        net, history = entry.phase2(net, bundle, cfg, seed)
+    return net, tuple(history)
 
 
-def _record(net, bundle, cfg, method, seed, history, started):
-    if method == "lrsdag":
-        display = losses.AdaptationLoss(cfg.loss).display
-        strategy = cfg.sampling if losses.AdaptationLoss(cfg.loss).needs_sampler \
-            else "-"
-    else:
-        display = BASELINE_DISPLAY[method]
-        strategy = "-"
+def _run(method, bundle, cfg, seed, pretrained_path):
+    """Fit one method and evaluate it into a RunRecord."""
+    seed = cfg.seed if seed is None else seed
+    started = time.perf_counter()
+    net, history = _fit(bundle, cfg, method, seed, pretrained_path)
+    name, strategy = METHODS[method].row(cfg)
     report = evaluate.evaluate_pair(
         net, bundle.source_test, bundle.target_test,
         metadata={"config_hash": config_hash(cfg), "trial_seed": seed})
     return RunRecord(
-        method=display,
+        method=name,
         strategy=strategy,
-        loss_history=tuple(history),
+        loss_history=history,
         report=report,
         seeds={"master": cfg.seed, "trial_seed": seed},
         config=cfg.snapshot(),
@@ -354,20 +380,14 @@ def _record(net, bundle, cfg, method, seed, history, started):
 
 def run_lrsdag(bundle, cfg, seed=None, pretrained_path=None):
     """Pretrain (or load), adapt with cfg.loss/cfg.sampling, evaluate."""
-    seed = cfg.seed if seed is None else seed
-    started = time.perf_counter()
-    net, history = _fit(bundle, cfg, "lrsdag", seed, pretrained_path)
-    return _record(net, bundle, cfg, "lrsdag", seed, history, started)
+    return _run("lrsdag", bundle, cfg, seed, pretrained_path)
 
 
 def run_baseline(kind, bundle, cfg, seed=None, pretrained_path=None):
     """Run one of the three reference procedures and evaluate it."""
     if kind not in BASELINE_KINDS:
         raise ConfigError(f"unknown baseline {kind!r}")
-    seed = cfg.seed if seed is None else seed
-    started = time.perf_counter()
-    net, history = _fit(bundle, cfg, kind, seed, pretrained_path)
-    return _record(net, bundle, cfg, kind, seed, history, started)
+    return _run(kind, bundle, cfg, seed, pretrained_path)
 
 
 def average_records(records):
@@ -400,15 +420,9 @@ def average_records(records):
 
 def run_trials(bundle, cfg, method="lrsdag", pretrained_paths=None):
     """Run cfg.trials independent trials; returns (averaged, per-trial)."""
-    records = []
-    for trial in range(cfg.trials):
-        seed = cfg.seed + trial
-        pre = pretrained_paths[trial] if pretrained_paths else None
-        if method == "lrsdag":
-            records.append(run_lrsdag(bundle, cfg, seed=seed, pretrained_path=pre))
-        else:
-            records.append(run_baseline(method, bundle, cfg, seed=seed,
-                                        pretrained_path=pre))
+    records = [_run(method, bundle, cfg, cfg.seed + trial,
+                    pretrained_paths[trial] if pretrained_paths else None)
+               for trial in range(cfg.trials)]
     return average_records(records), records
 
 
@@ -419,14 +433,15 @@ def grid_search(lrs, weight_decays, bundle, val, cfg, method="lrsdag",
     Ties break toward the lower learning rate, then the lower decay.
     With `pretrained_path` every candidate starts from that phase-1
     checkpoint, which must exist; without it each candidate trains
-    phase 1 under its own lr and decay. `target_trained` has no phase 1,
-    so a `pretrained_path` with it raises ConfigError before any training.
+    phase 1 under its own lr and decay.  A `pretrained_path` with a
+    method that does not start from phase 1 (`target_trained`) raises
+    ConfigError before any training.
     """
     if not lrs or not weight_decays:
         raise ConfigError("grid must contain at least one lr and one weight_decay")
-    if method == "target_trained" and pretrained_path is not None:
-        raise ConfigError("--checkpoint does not apply to method target_trained, "
-                          "which trains a fresh model on target data only")
+    if pretrained_path is not None and not _method(method).pretrained:
+        raise ConfigError(f"--checkpoint does not apply to method {method}, "
+                          "which does not start from a phase-1 model")
     best_key, best_cfg = None, None
     for lr in lrs:
         for wd in weight_decays:
@@ -450,15 +465,6 @@ def method_inventory():
         else:
             rows.append(("lrsdag", kind, "-"))
     return rows
-
-
-def _atomic_checkpoint(net, path, meta=None):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = f"{path}.tmp-{os.getpid()}"
-    nn.save_checkpoint(net, tmp, meta=meta)
-    os.replace(tmp, path)
 
 
 def _cell_path(run_dir, family, key, strategy, trial):
@@ -515,7 +521,7 @@ def ensure_pretrained(bundle, cfg, run_dir, trial):
         return path
     seed = cfg.seed + trial
     net, history = _pretrain(bundle, cfg, seed)
-    _atomic_checkpoint(net, path,
+    nn.save_checkpoint(net, path,
                        meta={"phase": "source", "seed": seed, "config_hash": want})
     _write_loss_csv(os.path.join(run_dir, f"source-loss-trial{trial}.csv"),
                     history)
@@ -538,12 +544,12 @@ def reproduce(bundle, cfg, run_dir):
     by all methods within a trial.
     """
     os.makedirs(os.path.join(run_dir, "cells"), exist_ok=True)
-    os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
     averaged = []
     for family, key, strategy in method_inventory():
         if family == "baseline":
-            cell_cfg = cfg
+            method, cell_cfg = key, cfg
         else:
+            method = "lrsdag"
             cell_cfg = replace(cfg, loss=key,
                                sampling=strategy if strategy != "-"
                                else cfg.sampling)
@@ -559,10 +565,8 @@ def reproduce(bundle, cfg, run_dir):
                 trial_records.append(rec)
                 continue
             seed = cfg.seed + trial
-            if family == "baseline" and key == "target_trained":
-                pre = None
-            else:
-                pre = ensure_pretrained(bundle, cfg, run_dir, trial)
+            pre = (ensure_pretrained(bundle, cfg, run_dir, trial)
+                   if METHODS[method].pretrained else None)
             if family == "baseline":
                 rec = run_baseline(key, bundle, cfg, seed=seed,
                                    pretrained_path=pre)

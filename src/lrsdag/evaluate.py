@@ -45,13 +45,13 @@ def confusion_matrix(net, ds, use_encoder=False):
 
 
 def feature_matrix(net, ds, through_encoder=False):
-    """Split features over a dataset, flattened to N x k."""
+    """Split features over a dataset, flattened to N x k: f(x), or with
+    `through_encoder` the h(f(x)) that `Network.head` feeds to N2."""
     chunks = []
     for images, labels in data.batches(ds, BATCH_SIZE):
         feats = net.forward_features(images)
         if through_encoder:
-            for layer in net.encoder:
-                feats = layer.forward(feats)
+            feats, _ = net.head(feats, use_encoder=True)
         chunks.append(feats.reshape(len(labels), -1))
     return np.concatenate(chunks)
 

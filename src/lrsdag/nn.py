@@ -7,9 +7,11 @@ hand-written per layer; there is no general autodiff tape.
 """
 
 import json
+import os
 
 import numpy as np
 
+from .data import atomic_open
 from .seeding import derive_rng
 from .tensor_core import check_finite
 
@@ -245,22 +247,14 @@ class Network:
         enc = self.encoder if use_encoder else []
         return self.n1 + list(enc or []) + self.n2
 
-    def _prepare(self, batch):
-        batch = np.asarray(batch, dtype=np.float64)
-        if isinstance(self.n1[0], Linear) and batch.ndim > 2:
-            batch = batch.reshape(batch.shape[0], -1)
-        return batch
-
     def forward(self, batch, use_encoder=False):
-        """Run the stack; returns (split_features, logits).
+        """Run the stack, `head` over `forward_features`; returns
+        (split_features, logits).
 
         split_features is the value entering n2: f(x) without the encoder,
         h(f(x)) with it.
         """
-        x = self._prepare(batch)
-        for layer in self.n1:
-            x = layer.forward(x)
-        return self.head(x, use_encoder)
+        return self.head(self.forward_features(batch), use_encoder)
 
     def head(self, x, use_encoder=False):
         """Run the encoder (optionally) and n2 on n1 output x = f(batch);
@@ -278,7 +272,9 @@ class Network:
 
     def forward_features(self, batch):
         """n1 output only (the feature map f)."""
-        x = self._prepare(batch)
+        x = np.asarray(batch, dtype=np.float64)
+        if isinstance(self.n1[0], Linear) and x.ndim > 2:
+            x = x.reshape(x.shape[0], -1)
         for layer in self.n1:
             x = layer.forward(x)
         return x
@@ -490,7 +486,12 @@ class Adam:
 
 
 def save_checkpoint(network, path, meta=None):
-    """Serialize structure, parameters and metadata; round-trips bit-exactly."""
+    """Serialize structure, parameters and metadata; round-trips bit-exactly.
+
+    Missing parent directories are created.  The archive streams into a
+    temporary file that replaces `path` only once it is complete; a
+    failed save leaves neither behind.
+    """
     structure = {
         "arch": network.arch,
         "split_shape": list(network.split_shape),
@@ -503,7 +504,8 @@ def save_checkpoint(network, path, meta=None):
         for i, layer in enumerate(layers):
             for j, p in enumerate(layer.params()):
                 arrays[f"{name}.{i}.{j}"] = p.value
-    with open(path, "wb") as fh:
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
+    with atomic_open(path) as fh:
         np.savez(fh, **arrays)
 
 

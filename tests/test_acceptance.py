@@ -83,15 +83,14 @@ def test_criterion_1_source_preservation(desk, pretrained_paths):
     failures = []
     for kind, strat in combos:
         net, _ = nn.load_checkpoint(pretrained_paths[0])
-        spec = losses.AdaptationLoss(kind)
         sampler = None
-        if spec.needs_sampler:
+        if losses.AdaptationLoss(kind).needs_sampler:
             feats = evaluate.feature_matrix(net, bundle.source_train)
             sampler = sampling.make_sampler(strat, feats,
                                             derive_rng(DESK_SEED, "sampler",
                                                        strat))
-        engine.adapt(net, bundle.target_train, sampler, spec, cfg,
-                     seed=DESK_SEED)
+        engine.adapt(net, bundle.target_train, sampler,
+                     dataclasses.replace(cfg, loss=kind), seed=DESK_SEED)
         same_sum = engine.checksum(net) == want_sum
         same_preds = np.array_equal(
             evaluate.predictions(net, bundle.source_test, use_encoder=False),
@@ -112,7 +111,7 @@ def test_criterion_1_source_preservation(desk, pretrained_paths):
     engine.adapt(cnn, small_t,
                  sampling.make_sampler("indirect", feats,
                                        derive_rng(DESK_SEED, "s")),
-                 losses.AdaptationLoss("cls_kl"), cnn_cfg, seed=DESK_SEED)
+                 cnn_cfg, seed=DESK_SEED)
     if engine.checksum(cnn) != cnn_sum or not np.array_equal(
             evaluate.predictions(cnn, small, use_encoder=False), cnn_preds):
         failures.append("cnn cls_kl/indirect")

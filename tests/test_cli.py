@@ -102,10 +102,14 @@ class TestPrepareData:
         (("--demo-size", "40", "--val-fraction", "1.5"), 2),
         (("--demo-size", "40", "--syn-params-file", "missing.txt"), 2),
         (("--demo-size", "40", "--syn-params-file", "unknown-key.txt"), 1),
-    ], ids=["demo-size", "subsample", "val", "params-missing", "params-key"])
+        (("--demo-size", "40", "--syn-params-file", "duplicate-key.txt"), 1),
+    ], ids=["demo-size", "subsample", "val", "params-missing", "params-key",
+            "params-duplicate"])
     def test_bad_argument_rejected_before_corpus(self, tmp_path, capsys,
                                                  bad, code):
         (tmp_path / "unknown-key.txt").write_text("flip_prob = 0.5\nbogus = 1\n")
+        (tmp_path / "duplicate-key.txt").write_text("flip_prob = 0.5\n"
+                                                    "flip_prob = 0.9\n")
         bad = [str(tmp_path / a) if a.endswith(".txt") else a for a in bad]
         raw, out = tmp_path / "raw", tmp_path / "prep"
         assert run("prepare-data", "--mnist-dir", str(raw),
@@ -267,7 +271,7 @@ class TestExportEmbeddings:
         net, _ = nn.load_checkpoint(os.path.join(source_run, "source.npz"))
         net.encoder = nn.build_encoder(net, seed=0)
         ckpt = os.path.join(tmp_path, "with-encoder.npz")
-        engine._atomic_checkpoint(net, ckpt, meta={"phase": "adapted"})
+        nn.save_checkpoint(net, ckpt, meta={"phase": "adapted"})
         out = os.path.join(tmp_path, "emb")
         rc = run("export-embeddings", "--checkpoint", ckpt,
                  "--data-dir", prep_dir, "--out-dir", out,
@@ -295,6 +299,16 @@ class TestExitCodes:
         open(bad, "w").write("lr = abc\n")
         assert run("train-source", "--config", bad, "--data-dir", prep_dir,
                    "--run-dir", str(tmp_path)) == 1
+
+    def test_nonfinite_config_value_writes_no_checkpoint(self, prep_dir,
+                                                         tmp_path, capsys):
+        bad = os.path.join(tmp_path, "bad.cfg")
+        open(bad, "w").write("lr = nan\nsource_epochs = 1\n")
+        run_dir = os.path.join(tmp_path, "run")
+        assert run("train-source", "--config", bad, "--data-dir", prep_dir,
+                   "--run-dir", run_dir) == 1
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(run_dir, "source.npz"))
 
     def test_unknown_config_key(self, prep_dir, tmp_path):
         bad = os.path.join(tmp_path, "bad.cfg")

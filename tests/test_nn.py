@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -411,6 +413,29 @@ class TestCheckpoint:
             assert loaded.param_bytes(blocks) == net.param_bytes(blocks)
         assert all(l.frozen for l in loaded.n1)
         assert not any(l.frozen for l in loaded.encoder)
+
+    def test_failed_save_leaves_no_file(self, tmp_path, monkeypatch):
+        net = nn.build_fcn(seed=7)
+        path = tmp_path / "fcn.npz"
+        orig = np.savez
+
+        def savez(fh, **arrays):
+            fh.write(b"PK partial archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez)
+        with pytest.raises(OSError, match="disk full"):
+            nn.save_checkpoint(net, path)
+        assert os.listdir(tmp_path) == []
+        # an existing checkpoint is left as it was
+        monkeypatch.setattr(np, "savez", orig)
+        nn.save_checkpoint(net, path)
+        saved = path.read_bytes()
+        monkeypatch.setattr(np, "savez", savez)
+        with pytest.raises(OSError, match="disk full"):
+            nn.save_checkpoint(nn.build_fcn(seed=8), path)
+        assert os.listdir(tmp_path) == ["fcn.npz"]
+        assert path.read_bytes() == saved
 
     def test_forward_identical_after_reload(self, tmp_path):
         net = nn.build_fcn(seed=6)
