@@ -146,16 +146,12 @@ def cmd_prepare_data(args):
                                                    args.val_fraction,
                                                    seed=args.syn_seed)
 
+    splits = (("source-train", source_train), ("source-test", source_test),
+              ("target-train-full", target_full), ("target-train", target_train),
+              ("target-tune", target_tune), ("target-val", target_val),
+              ("target-test", target_test))
     os.makedirs(args.out_dir, exist_ok=True)
-    files = {}
-    for stem, ds in (("source-train", source_train),
-                     ("source-test", source_test),
-                     ("target-train-full", target_full),
-                     ("target-train", target_train),
-                     ("target-tune", target_tune),
-                     ("target-val", target_val),
-                     ("target-test", target_test)):
-        files[stem] = _write_pair(args.out_dir, stem, ds)
+    files = {stem: _write_pair(args.out_dir, stem, ds) for stem, ds in splits}
     manifest = {
         "syn_seed": args.syn_seed,
         "target_test_seed": test_params.seed,
@@ -168,14 +164,7 @@ def cmd_prepare_data(args):
             "brightness": list(syn_params.brightness),
             "contrast": list(syn_params.contrast),
         },
-        "counts": {stem: len(ds) for stem, ds in
-                   (("source-train", source_train),
-                    ("source-test", source_test),
-                    ("target-train-full", target_full),
-                    ("target-train", target_train),
-                    ("target-tune", target_tune),
-                    ("target-val", target_val),
-                    ("target-test", target_test))},
+        "counts": {stem: len(ds) for stem, ds in splits},
         "files": files,
     }
     data.atomic_write_text(os.path.join(args.out_dir, "manifest.json"),
@@ -210,7 +199,7 @@ def cmd_adapt(args):
                                   "train")
     run_dir = _run_dir(args)
     os.makedirs(run_dir, exist_ok=True)
-    loss = losses.AdaptationLoss(cfg.loss)
+    loss = losses.LOSSES[cfg.loss]
     sampler = None
     if loss.needs_sampler:
         source_train = _load_prepared(args.data_dir, "source-train", "source",

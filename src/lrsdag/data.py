@@ -85,10 +85,15 @@ class SynParams:
     seed: int = 0
 
     def __post_init__(self):
+        values = (self.flip_prob, self.shear_max_deg, *self.brightness,
+                  *self.contrast)
+        if not all(math.isfinite(v) for v in values):
+            raise DataError(f"jitter parameters must be finite, got {self}")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise DataError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
-        if self.shear_max_deg < 0:
-            raise DataError("shear_max_deg must be nonnegative")
+        if not 0.0 <= self.shear_max_deg <= 90.0:
+            raise DataError(
+                f"shear_max_deg must be in [0, 90], got {self.shear_max_deg}")
         for label, (lo, hi) in (("brightness", self.brightness),
                                 ("contrast", self.contrast)):
             if not 0 < lo <= hi:
@@ -105,12 +110,16 @@ def atomic_open(path):
     """A binary file handle on a temporary name in `path`'s directory,
     renamed to `path` when the block ends, so readers never observe a
     partial file; if the block raises, the temporary file is removed and
-    `path` is left as it was."""
+    `path` is left as it was.  The file gets the mode `open` would give
+    it under the current umask."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp made it 0600
             yield fh
         os.replace(tmp, path)
     except BaseException:

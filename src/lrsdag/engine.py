@@ -60,7 +60,6 @@ class ExperimentConfig:
     seed: int = 0
     align_weight: float = 1.0
     encoder_noise: float = 1e-2
-    val_fraction: float = 0.1
 
     def __post_init__(self):
         for f in fields(self):
@@ -69,7 +68,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.loss not in losses.LOSS_KINDS:
+        if self.loss not in losses.LOSSES:
             raise ConfigError(f"unknown loss kind {self.loss!r}")
         if self.sampling not in sampling.SAMPLER_KINDS:
             raise ConfigError(f"unknown sampling kind {self.sampling!r}")
@@ -86,8 +85,6 @@ class ExperimentConfig:
             raise ConfigError("max_adapt_epochs must be at least 1")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must be in (0, 1)")
 
     def snapshot(self):
         return asdict(self)
@@ -249,17 +246,17 @@ def adapt(net, target_train, sampler, cfg, seed=None):
     under cfg.stop_threshold or after cfg.max_adapt_epochs.
     """
     seed = cfg.seed if seed is None else seed
-    loss = losses.AdaptationLoss(cfg.loss, align_weight=cfg.align_weight)
+    loss = losses.LOSSES[cfg.loss]
     if loss.needs_sampler and sampler is None:
-        raise EngineError(f"loss {loss.kind!r} needs a feature sampler")
+        raise EngineError(f"loss {cfg.loss!r} needs a feature sampler")
     nn.build_encoder(net, seed, noise_scale=cfg.encoder_noise)
     nn.set_frozen(net, ("n1", "n2"), True)
-    weight = loss.align_weight
+    weight = cfg.align_weight
 
     def align(split, n):
         flat = split.reshape(n, -1)
         ref = sampler.draw(n) if loss.needs_sampler else flat
-        value, grad = losses.alignment(loss.kind, ref, flat)
+        value, grad = losses.alignment(cfg.loss, ref, flat)
         return weight * value, (weight * grad).reshape(split.shape)
 
     history = _train(net, target_train, cfg, seed, "adapt", cfg.max_adapt_epochs,
@@ -284,7 +281,7 @@ def _pretrain(bundle, cfg, seed):
 
 def _lrsdag_step(net, bundle, cfg, seed):
     sampler = (source_sampler(net, bundle.source_train, cfg, seed)
-               if losses.AdaptationLoss(cfg.loss).needs_sampler else None)
+               if losses.LOSSES[cfg.loss].needs_sampler else None)
     return adapt(net, bundle.target_train, sampler, cfg, seed=seed)
 
 
@@ -302,7 +299,7 @@ def _finetune_step(net, bundle, cfg, seed):
 
 
 def _lrsdag_row(cfg):
-    loss = losses.AdaptationLoss(cfg.loss)
+    loss = losses.LOSSES[cfg.loss]
     return loss.display, cfg.sampling if loss.needs_sampler else "-"
 
 
@@ -458,12 +455,9 @@ def grid_search(lrs, weight_decays, bundle, val, cfg, method="lrsdag",
 def method_inventory():
     """All report rows: baselines plus loss kinds crossed with samplers."""
     rows = [("baseline", kind, "-") for kind in BASELINE_KINDS]
-    for kind in losses.LOSS_KINDS:
-        if losses.AdaptationLoss(kind).needs_sampler:
-            rows.extend(("lrsdag", kind, strat)
-                        for strat in sampling.SAMPLER_KINDS)
-        else:
-            rows.append(("lrsdag", kind, "-"))
+    for kind, loss in losses.LOSSES.items():
+        strategies = sampling.SAMPLER_KINDS if loss.needs_sampler else ("-",)
+        rows.extend(("lrsdag", kind, strat) for strat in strategies)
     return rows
 
 

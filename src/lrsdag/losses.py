@@ -5,7 +5,7 @@ Every alignment function takes fS and hfT as (B, k) float64 batches (conv
 features arrive flattened) and returns `(value, grad)` where `grad` is the
 gradient with respect to hfT only. fS is a constant reference: it comes from
 the frozen source pathway or from Gaussian samples, so no gradient flows
-into it.
+into it.  `LOSSES` names each objective once, with its alignment function.
 """
 
 from dataclasses import dataclass
@@ -14,17 +14,6 @@ import numpy as np
 
 from .tensor_core import ShapeMismatch, log_softmax
 
-LOSS_KINDS = ("cls", "cls_mse", "cls_kl", "cls_norm", "cls_kl_rev", "coral")
-
-DISPLAY_NAMES = {
-    "cls": "CLS",
-    "cls_mse": "CLS+MSE",
-    "cls_kl": "CLS+KL",
-    "cls_norm": "CLS+Norm",
-    "cls_kl_rev": "CLS+KL-Rev",
-    "coral": "CORAL",
-}
-
 
 class LossError(Exception):
     pass
@@ -32,33 +21,6 @@ class LossError(Exception):
 
 class BatchTooSmall(LossError):
     pass
-
-
-@dataclass(frozen=True)
-class AdaptationLoss:
-    """Which objective to minimize and how hard to weight the alignment term."""
-
-    kind: str
-    align_weight: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise LossError(f"unknown loss kind {self.kind!r}")
-        if not np.isfinite(self.align_weight) or self.align_weight < 0:
-            raise LossError("align_weight must be finite and >= 0")
-
-    @property
-    def needs_sampler(self):
-        return self.kind != "cls"
-
-    @property
-    def display(self):
-        return DISPLAY_NAMES[self.kind]
-
-    @property
-    def min_rows(self):
-        """Fewest batch rows the alignment takes (batch statistics need 2)."""
-        return 2 if self.kind in ("cls_norm", "coral") else 1
 
 
 def _check_pair(fS, hfT, min_batch=1):
@@ -153,22 +115,38 @@ def loss_coral(fS, hfT):
     return value, grad
 
 
-ALIGNMENT_FNS = {
-    "cls_mse": loss_mse,
-    "cls_kl": loss_kl,
-    "cls_norm": loss_norm,
-    "cls_kl_rev": loss_kl_rev,
-    "coral": loss_coral,
+@dataclass(frozen=True)
+class Loss:
+    """One adaptation objective: its report name, its alignment function
+    (None for plain cls, which aligns nothing) and the fewest batch rows
+    that function takes (batch statistics need 2)."""
+
+    display: str
+    align: object
+    min_rows: int = 1
+
+    @property
+    def needs_sampler(self):
+        return self.align is not None
+
+
+LOSSES = {
+    "cls": Loss("CLS", None),
+    "cls_mse": Loss("CLS+MSE", loss_mse),
+    "cls_kl": Loss("CLS+KL", loss_kl),
+    "cls_norm": Loss("CLS+Norm", loss_norm, min_rows=2),
+    "cls_kl_rev": Loss("CLS+KL-Rev", loss_kl_rev),
+    "coral": Loss("CORAL", loss_coral, min_rows=2),
 }
+
+LOSS_KINDS = tuple(LOSSES)
 
 
 def alignment(kind, fS, hfT):
-    """Dispatch to the alignment term of `kind`; (0, zeros) for plain cls."""
-    if kind == "cls":
-        hfT = np.asarray(hfT, dtype=np.float64)
-        return 0.0, np.zeros_like(hfT)
-    try:
-        fn = ALIGNMENT_FNS[kind]
-    except KeyError:
-        raise LossError(f"unknown loss kind {kind!r}") from None
-    return fn(fS, hfT)
+    """The alignment term of `kind`; (0, zeros) for plain cls."""
+    if kind not in LOSSES:
+        raise LossError(f"unknown loss kind {kind!r}")
+    align = LOSSES[kind].align
+    if align is None:
+        return 0.0, np.zeros_like(np.asarray(hfT, dtype=np.float64))
+    return align(fS, hfT)

@@ -273,8 +273,6 @@ class Network:
     def forward_features(self, batch):
         """n1 output only (the feature map f)."""
         x = np.asarray(batch, dtype=np.float64)
-        if isinstance(self.n1[0], Linear) and x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
         for layer in self.n1:
             x = layer.forward(x)
         return x

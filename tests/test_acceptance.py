@@ -78,13 +78,14 @@ def test_criterion_1_source_preservation(desk, pretrained_paths):
                                       use_encoder=False)
     cfg = dataclasses.replace(DESK_CFG, max_adapt_epochs=3)
     combos = [("cls", "indirect")] + [(kind, strat)
-                                      for kind in losses.ALIGNMENT_FNS
+                                      for kind, loss in losses.LOSSES.items()
+                                      if loss.needs_sampler
                                       for strat in ("indirect", "random")]
     failures = []
     for kind, strat in combos:
         net, _ = nn.load_checkpoint(pretrained_paths[0])
         sampler = None
-        if losses.AdaptationLoss(kind).needs_sampler:
+        if losses.LOSSES[kind].needs_sampler:
             feats = evaluate.feature_matrix(net, bundle.source_train)
             sampler = sampling.make_sampler(strat, feats,
                                             derive_rng(DESK_SEED, "sampler",
@@ -155,7 +156,7 @@ def test_criterion_4_gradient_suite():
         B, k = 4, 3
 
         fS = rng.normal(size=(B, k)) * 2.0
-        for fn in losses.ALIGNMENT_FNS.values():
+        for fn in (loss.align for loss in losses.LOSSES.values() if loss.align):
             worst = max(worst, tc.grad_check(lambda h: fn(fS, h),
                                              rng.normal(size=(B, k))))
 

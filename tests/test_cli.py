@@ -103,13 +103,25 @@ class TestPrepareData:
         (("--demo-size", "40", "--syn-params-file", "missing.txt"), 2),
         (("--demo-size", "40", "--syn-params-file", "unknown-key.txt"), 1),
         (("--demo-size", "40", "--syn-params-file", "duplicate-key.txt"), 1),
+        (("--demo-size", "40", "--syn-params-file", "shear-inf.txt"), 2),
+        (("--demo-size", "40", "--syn-params-file", "shear-nan.txt"), 2),
+        (("--demo-size", "40", "--syn-params-file", "shear-huge.txt"), 2),
+        (("--demo-size", "40", "--syn-params-file", "brightness-inf.txt"), 2),
+        (("--demo-size", "40", "--syn-params-file", "contrast-inf.txt"), 2),
     ], ids=["demo-size", "subsample", "val", "params-missing", "params-key",
-            "params-duplicate"])
+            "params-duplicate", "shear-inf", "shear-nan", "shear-huge",
+            "brightness-inf", "contrast-inf"])
     def test_bad_argument_rejected_before_corpus(self, tmp_path, capsys,
                                                  bad, code):
         (tmp_path / "unknown-key.txt").write_text("flip_prob = 0.5\nbogus = 1\n")
         (tmp_path / "duplicate-key.txt").write_text("flip_prob = 0.5\n"
                                                     "flip_prob = 0.9\n")
+        for name, line in (("shear-inf", "shear_max_deg = inf"),
+                           ("shear-nan", "shear_max_deg = nan"),
+                           ("shear-huge", "shear_max_deg = 1e308"),
+                           ("brightness-inf", "brightness_hi = inf"),
+                           ("contrast-inf", "contrast_hi = inf")):
+            (tmp_path / f"{name}.txt").write_text(line + "\n")
         bad = [str(tmp_path / a) if a.endswith(".txt") else a for a in bad]
         raw, out = tmp_path / "raw", tmp_path / "prep"
         assert run("prepare-data", "--mnist-dir", str(raw),
@@ -309,6 +321,16 @@ class TestExitCodes:
                    "--run-dir", run_dir) == 1
         assert "lr must be finite" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(run_dir, "source.npz"))
+
+    def test_val_fraction_is_not_a_config_key(self, prep_dir, tmp_path,
+                                              capsys):
+        # the validation split is set by prepare-data --val-fraction
+        bad = os.path.join(tmp_path, "old.cfg")
+        open(bad, "w").write("seed = 1\nval_fraction = 0.2\n")
+        assert run("train-source", "--config", bad, "--data-dir", prep_dir,
+                   "--run-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "val_fraction" in err
 
     def test_unknown_config_key(self, prep_dir, tmp_path):
         bad = os.path.join(tmp_path, "bad.cfg")

@@ -1,9 +1,11 @@
+import os
+import stat
 import struct
 
 import numpy as np
 import pytest
 
-from lrsdag import data, glyphs
+from lrsdag import data, glyphs, nn
 from lrsdag.tensor_core import ShapeMismatch
 
 
@@ -101,6 +103,20 @@ class TestWriteIdx:
             data.write_idx(tmp_path / "bad.idx", np.array([0.0, 1.5]))
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            data.atomic_write_text(tmp_path / "report.txt", "x\n")
+            nn.save_checkpoint(nn.build_fcn(seed=0), tmp_path / "model.npz")
+        finally:
+            os.umask(old)
+        for name in ("report.txt", "model.npz"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
+
+
 class TestPreprocess:
     def test_constant_one_maps_to_one(self):
         out = data.preprocess(np.ones((2, 1, 28, 28)))
@@ -155,6 +171,15 @@ class TestSynMnist:
             data.SynParams(flip_prob=1.5)
         with pytest.raises(data.DataError):
             data.SynParams(brightness=(0.0, 1.0))
+        with pytest.raises(data.DataError):
+            data.SynParams(shear_max_deg=90.5)
+        with pytest.raises(data.DataError):
+            data.SynParams(contrast=(0.7, float("inf")))
+
+    def test_shear_up_to_90_degrees(self):
+        ds = toy_dataset(n=4)
+        out = data.make_syn_mnist(ds, data.SynParams(shear_max_deg=90.0, seed=2))
+        assert np.all(np.isfinite(out.images))
 
 
 class TestSubsample:

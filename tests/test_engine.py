@@ -46,7 +46,7 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(model="rnn"), dict(loss="mmd"), dict(sampling="grid"),
         dict(batch_size=0), dict(stop_threshold=0.0), dict(trials=0),
-        dict(lr=-1.0), dict(val_fraction=1.0), dict(max_adapt_epochs=0),
+        dict(lr=-1.0), dict(align_weight=-1.0), dict(max_adapt_epochs=0),
         dict(lr=float("nan")), dict(lr=float("inf")),
         dict(weight_decay=float("nan")), dict(weight_decay=float("inf")),
         dict(align_weight=float("nan")), dict(align_weight=float("inf")),
@@ -130,7 +130,7 @@ class TestAdapt:
             net, _ = nn.load_checkpoint(path)
             before = engine.checksum(net)
             sampler = None
-            if losses.AdaptationLoss(kind).needs_sampler:
+            if losses.LOSSES[kind].needs_sampler:
                 feats = evaluate.feature_matrix(net, bundle.source_train)
                 sampler = sampling.make_sampler("indirect", feats, derive_rng(0, kind))
             engine.adapt(net, bundle.target_train, sampler,
@@ -197,7 +197,7 @@ class TestAdapt:
 def reference_adapt(net, ds, sampler, cfg, seed):
     """Phase 2 as a plain per-batch loop: the whole network, N1 included,
     runs forward on the images of every batch in every epoch."""
-    spec = losses.AdaptationLoss(cfg.loss, align_weight=cfg.align_weight)
+    needs_sampler = losses.LOSSES[cfg.loss].needs_sampler
     nn.build_encoder(net, seed, noise_scale=cfg.encoder_noise)
     nn.set_frozen(net, ("n1", "n2"), True)
     opt = nn.Adam(net.layers(use_encoder=True), lr=cfg.lr,
@@ -208,16 +208,16 @@ def reference_adapt(net, ds, sampler, cfg, seed):
         total, count = 0.0, 0
         for images, labels in data.batches(ds, cfg.batch_size, shuffle=True,
                                            seed=shuffle_seed, epoch=epoch):
-            if len(labels) < 2 and spec.kind in ("cls_norm", "coral"):
+            if len(labels) < 2 and cfg.loss in ("cls_norm", "coral"):
                 continue
             split, logits = net.forward(images, use_encoder=True)
             flat = split.reshape(len(labels), -1)
-            ref = sampler.draw(len(labels)) if spec.needs_sampler else flat
-            align_value, align_grad = losses.alignment(spec.kind, ref, flat)
-            value = spec.align_weight * align_value + tc.cross_entropy(logits, labels)
+            ref = sampler.draw(len(labels)) if needs_sampler else flat
+            align_value, align_grad = losses.alignment(cfg.loss, ref, flat)
+            value = cfg.align_weight * align_value + tc.cross_entropy(logits, labels)
             net.zero_grad()
             net.backward(tc.cross_entropy_grad(logits, labels), use_encoder=True,
-                         split_grad=(spec.align_weight * align_grad).reshape(split.shape))
+                         split_grad=(cfg.align_weight * align_grad).reshape(split.shape))
             opt.step()
             total += value * len(labels)
             count += len(labels)

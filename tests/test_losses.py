@@ -144,10 +144,14 @@ def test_simultaneous_permutation_invariance(a, b):
         assert fn(a, b)[0] == pytest.approx(fn(a[perm], b[perm])[0], abs=1e-9)
 
 
+ALIGNED_KINDS = [kind for kind, loss in losses.LOSSES.items()
+                 if loss.align is not None]
+
+
 class TestGradients:
-    @pytest.mark.parametrize("kind", list(losses.ALIGNMENT_FNS))
+    @pytest.mark.parametrize("kind", ALIGNED_KINDS)
     def test_finite_difference(self, kind):
-        fn = losses.ALIGNMENT_FNS[kind]
+        fn = losses.LOSSES[kind].align
         for seed in range(5):
             rng = np.random.default_rng(seed)
             fS = rand_batch(rng, b=5, k=4)
@@ -156,14 +160,22 @@ class TestGradients:
             assert err < 1e-4, f"{kind} seed {seed}: {err}"
 
 
-class TestAdaptationLoss:
+class TestLossTable:
     def test_unknown_kind_rejected(self):
         with pytest.raises(losses.LossError):
-            losses.AdaptationLoss("mmd")
+            losses.alignment("mmd", np.zeros((2, 3)), np.zeros((2, 3)))
+
+    def test_cls_aligns_nothing(self):
+        hfT = rand_batch(np.random.default_rng(7), b=3)
+        value, grad = losses.alignment("cls", None, hfT)
+        assert value == 0.0
+        assert grad.shape == hfT.shape and not grad.any()
+        assert not losses.LOSSES["cls"].needs_sampler
+        assert all(losses.LOSSES[kind].needs_sampler for kind in ALIGNED_KINDS)
 
     @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
     def test_min_rows_is_what_alignment_accepts(self, kind):
-        rows = losses.AdaptationLoss(kind).min_rows
+        rows = losses.LOSSES[kind].min_rows
         rng = np.random.default_rng(13)
         fS, hfT = rand_batch(rng, b=rows), rand_batch(rng, b=rows)
         value, _ = losses.alignment(kind, fS, hfT)

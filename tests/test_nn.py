@@ -394,8 +394,10 @@ class TestLayerGradients:
             dx = net.backward(tc.cross_entropy_grad(logits, labels))
             return tc.cross_entropy(logits, labels), dx
 
-        err = tc.grad_check(fn, rng.normal(size=(2, 1024)), eps=1e-5, max_coords=60, rng=rng)
-        assert err < 1e-4
+        for shape in ((2, 1024), (2, 1, 32, 32)):
+            err = tc.grad_check(fn, rng.normal(size=shape), eps=1e-5,
+                                max_coords=60, rng=rng)
+            assert err < 1e-4, shape
 
 
 class TestCheckpoint:
