@@ -180,10 +180,8 @@ def cmd_train_source(args):
                                   "train")
     run_dir = _run_dir(args)
     os.makedirs(run_dir, exist_ok=True)
-    net = engine.build_model(cfg.model, derive_int(cfg.seed, "init"))
     checkpoint = os.path.join(run_dir, "source.npz")
-    _, history = engine.train_source(net, source_train, cfg, seed=cfg.seed,
-                                     checkpoint_path=checkpoint)
+    _, history = engine._pretrain(source_train, cfg, cfg.seed, checkpoint)
     engine._write_loss_csv(os.path.join(run_dir, "source-loss.csv"), history)
     config_file.write_resolved(cfg, os.path.join(run_dir, "config-resolved.txt"))
     final = history[-1] if history else float("nan")

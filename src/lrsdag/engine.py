@@ -22,7 +22,7 @@ from . import data, evaluate, losses, nn, sampling
 from . import tensor_core as tc
 from .seeding import derive_int, derive_rng
 
-MODELS = ("fcn", "cnn")
+MODELS = {"fcn": nn.build_fcn, "cnn": nn.build_cnn}
 
 
 class EngineError(Exception):
@@ -67,7 +67,7 @@ class ExperimentConfig:
             if f.type is float and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.model not in MODELS:
-            raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
+            raise ConfigError(f"model must be one of {tuple(MODELS)}, got {self.model!r}")
         if self.loss not in losses.LOSSES:
             raise ConfigError(f"unknown loss kind {self.loss!r}")
         if self.sampling not in sampling.SAMPLER_KINDS:
@@ -114,11 +114,9 @@ class RunRecord:
 
 
 def build_model(model, seed):
-    if model == "fcn":
-        return nn.build_fcn(seed)
-    if model == "cnn":
-        return nn.build_cnn(seed)
-    raise ConfigError(f"unknown model {model!r}")
+    if model not in MODELS:
+        raise ConfigError(f"unknown model {model!r}")
+    return MODELS[model](seed)
 
 
 def checksum(net, blocks=("n1", "n2")):
@@ -220,14 +218,19 @@ def _train(net, ds, cfg, seed, tag, epochs, align=None, min_rows=1,
 
 
 def train_source(net, source_train, cfg, seed=None, checkpoint_path=None):
-    """Phase 1: train the encoder-less classifier on the source domain."""
+    """Phase 1: train the encoder-less classifier on the source domain.
+
+    The checkpoint, if asked for, records the phase, the seed and the
+    hash of `cfg`.
+    """
     if net.encoder is not None:
         raise nn.EncoderAlreadyPresent("phase-1 training expects no encoder")
     seed = cfg.seed if seed is None else seed
     history = _train(net, source_train, cfg, seed, "source", cfg.source_epochs)
     if checkpoint_path is not None:
         nn.save_checkpoint(net, checkpoint_path,
-                           meta={"phase": "source", "seed": seed})
+                           meta={"phase": "source", "seed": seed,
+                                 "config_hash": config_hash(cfg)})
     return net, history
 
 
@@ -272,10 +275,12 @@ def source_sampler(net, source_train, cfg, seed):
                                  derive_rng(seed, "sampler", cfg.sampling))
 
 
-def _pretrain(bundle, cfg, seed):
-    """Phase 1 from a fresh model; returns (net, loss_history)."""
+def _pretrain(source_train, cfg, seed, checkpoint_path=None):
+    """Phase 1 from a fresh model, saved to `checkpoint_path` if given;
+    returns (net, loss_history)."""
     net = build_model(cfg.model, derive_int(seed, "init"))
-    _, history = train_source(net, bundle.source_train, cfg, seed=seed)
+    _, history = train_source(net, source_train, cfg, seed=seed,
+                              checkpoint_path=checkpoint_path)
     return net, tuple(history)
 
 
@@ -347,7 +352,7 @@ def _fit(bundle, cfg, method, seed, pretrained_path=None):
     entry = _method(method)
     net, history = None, ()
     if entry.pretrained and pretrained_path is None:
-        net, history = _pretrain(bundle, cfg, seed)
+        net, history = _pretrain(bundle.source_train, cfg, seed)
     elif entry.pretrained:
         net, _ = nn.load_checkpoint(pretrained_path)
     if entry.phase2 is not None:
@@ -513,10 +518,7 @@ def ensure_pretrained(bundle, cfg, run_dir, trial):
                 f"{path} was trained under config {got}, this run is {want}; "
                 "rerun into a fresh run dir")
         return path
-    seed = cfg.seed + trial
-    net, history = _pretrain(bundle, cfg, seed)
-    nn.save_checkpoint(net, path,
-                       meta={"phase": "source", "seed": seed, "config_hash": want})
+    _, history = _pretrain(bundle.source_train, cfg, cfg.seed + trial, path)
     _write_loss_csv(os.path.join(run_dir, f"source-loss-trial{trial}.csv"),
                     history)
     return path

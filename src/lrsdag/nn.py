@@ -6,8 +6,10 @@ with an optional trainable encoder block in between. Backward passes are
 hand-written per layer; there is no general autodiff tape.
 """
 
+import contextlib
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -45,7 +47,11 @@ class Parameter:
 
 
 class Layer:
+    """A stack element; `args` names its constructor arguments, each kept
+    as an attribute of the same name, which is what a checkpoint stores."""
+
     kind = None
+    args = ()
 
     def __init__(self):
         self.frozen = False
@@ -61,11 +67,8 @@ class Layer:
 
     def descriptor(self):
         d = {"kind": self.kind, "frozen": self.frozen}
-        d.update(self._extra_descriptor())
+        d.update((a, getattr(self, a)) for a in self.args)
         return d
-
-    def _extra_descriptor(self):
-        return {}
 
 
 class Linear(Layer):
@@ -76,6 +79,7 @@ class Linear(Layer):
     """
 
     kind = "linear"
+    args = ("in_dim", "out_dim")
 
     def __init__(self, in_dim, out_dim, rng=None):
         super().__init__()
@@ -109,14 +113,12 @@ class Linear(Layer):
         dx = dout @ self.weight.value
         return dx.reshape(self._in_shape)
 
-    def _extra_descriptor(self):
-        return {"in_dim": self.in_dim, "out_dim": self.out_dim}
-
 
 class Conv2d(Layer):
     """Zero-padded cross-correlation layer over (B, C, H, W) batches."""
 
     kind = "conv"
+    args = ("c_in", "c_out", "kh", "kw", "stride", "padding")
 
     def __init__(self, c_in, c_out, kh, kw, stride=1, padding=0, rng=None):
         super().__init__()
@@ -164,13 +166,6 @@ class Conv2d(Layer):
         dcols = self.weight.value.reshape(self.c_out, -1).T @ dmat
         return col2im(dcols, self._x_shape, self.kh, self.kw, self.stride, self.padding)
 
-    def _extra_descriptor(self):
-        return {
-            "c_in": self.c_in, "c_out": self.c_out,
-            "kh": self.kh, "kw": self.kw,
-            "stride": self.stride, "padding": self.padding,
-        }
-
 
 class ReLU(Layer):
     kind = "relu"
@@ -187,33 +182,14 @@ class ReLU(Layer):
         return np.where(self._mask, dout, 0.0)
 
 
-class Flatten(Layer):
-    kind = "flatten"
-
-    def __init__(self):
-        super().__init__()
-        self._in_shape = None
-
-    def forward(self, x):
-        self._in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dout):
-        return dout.reshape(self._in_shape)
+LAYERS = {cls.kind: cls for cls in (Linear, Conv2d, ReLU)}
 
 
 def _layer_from_descriptor(d):
-    kind = d["kind"]
-    if kind == "linear":
-        layer = Linear(d["in_dim"], d["out_dim"])
-    elif kind == "conv":
-        layer = Conv2d(d["c_in"], d["c_out"], d["kh"], d["kw"], d["stride"], d["padding"])
-    elif kind == "relu":
-        layer = ReLU()
-    elif kind == "flatten":
-        layer = Flatten()
-    else:
-        raise NetworkError(f"unknown layer kind {kind!r}")
+    cls = LAYERS.get(d["kind"])
+    if cls is None:
+        raise NetworkError(f"unknown layer kind {d['kind']!r}")
+    layer = cls(**{a: d[a] for a in cls.args})
     layer.frozen = bool(d["frozen"])
     return layer
 
@@ -348,7 +324,8 @@ def build_cnn(seed):
     """Five-conv + one-Linear classifier for 1x32x32 inputs, ReLU throughout.
 
     Front: conv(1->16, s1) + conv(16->32, s2) giving 32x16x16 split features;
-    head: three more convs down to 64x8x8, flatten, Linear to 10 classes.
+    head: three more convs down to 64x8x8, then a Linear (which flattens
+    its input) to 10 classes.
     """
     rng = derive_rng(seed, "build_cnn")
     n1 = [
@@ -359,7 +336,6 @@ def build_cnn(seed):
         Conv2d(32, 32, 3, 3, stride=1, padding=1, rng=rng), ReLU(),
         Conv2d(32, 64, 3, 3, stride=2, padding=1, rng=rng), ReLU(),
         Conv2d(64, 64, 3, 3, stride=1, padding=1, rng=rng), ReLU(),
-        Flatten(),
         Linear(64 * 8 * 8, 10, rng),
     ]
     return Network("cnn", n1, n2, split_shape=(32, 16, 16))
@@ -507,16 +483,34 @@ def save_checkpoint(network, path, meta=None):
         np.savez(fh, **arrays)
 
 
+@contextlib.contextmanager
+def _open_checkpoint(path):
+    """The open archive at `path` and its decoded structure.
+
+    A file that is not a `save_checkpoint` archive (not a zip, a bare
+    `.npy` array, truncated, empty, no or malformed `structure`, a missing
+    array) raises NetworkError naming the path and the exception type
+    (NumPy's own message for a text file suggests unpickling it); a
+    missing file stays OSError.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            yield data, json.loads(str(data["structure"]))
+    except (ValueError, KeyError, TypeError, AttributeError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise NetworkError(f"{os.fspath(path)} is not a checkpoint "
+                           f"({type(exc).__name__})") from exc
+
+
 def checkpoint_meta(path):
     """The metadata `save_checkpoint` stored, without the parameters."""
-    with np.load(path, allow_pickle=False) as data:
-        return json.loads(str(data["structure"]))["meta"]
+    with _open_checkpoint(path) as (_, structure):
+        return structure["meta"]
 
 
 def load_checkpoint(path):
     """Rebuild a Network (and its metadata) from `save_checkpoint` output."""
-    with np.load(path, allow_pickle=False) as data:
-        structure = json.loads(str(data["structure"]))
+    with _open_checkpoint(path) as (data, structure):
         blocks = {}
         for name, descriptors in structure["blocks"].items():
             layers = [_layer_from_descriptor(d) for d in descriptors]
@@ -529,7 +523,7 @@ def load_checkpoint(path):
                             f"expected {p.value.shape}")
                     p.value[:] = stored
             blocks[name] = layers
-    net = Network(structure["arch"], blocks["n1"], blocks["n2"],
-                  split_shape=structure["split_shape"],
-                  encoder=blocks.get("encoder"))
-    return net, structure["meta"]
+        net = Network(structure["arch"], blocks["n1"], blocks["n2"],
+                      split_shape=structure["split_shape"],
+                      encoder=blocks.get("encoder"))
+        return net, structure["meta"]

@@ -48,3 +48,30 @@ def tamper_frozen(monkeypatch, tmp_path):
         return ckpt, block
 
     return tamper
+
+
+@pytest.fixture(params=["text", "npy", "no-structure", "json-list",
+                        "truncated", "empty", "bad-json"])
+def not_a_checkpoint(request, tmp_path):
+    """Path of a file named like a checkpoint that `save_checkpoint` did not
+    write: a text file, a bare `.npy` array, an archive without
+    `structure`, one whose `structure` is a JSON list, the first 4 KiB
+    of a checkpoint, an empty file, or a `structure` that is not JSON."""
+    path = tmp_path / f"{request.param}.npz"
+    if request.param == "text":
+        path.write_text("epoch,loss\n0,2.3\n")
+    elif request.param == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    elif request.param == "no-structure":
+        np.savez(path, weights=np.zeros(3))
+    elif request.param == "json-list":
+        np.savez(path, structure=np.array("[1, 2]"))
+    elif request.param == "truncated":
+        nn.save_checkpoint(nn.build_fcn(seed=0), path)
+        path.write_bytes(path.read_bytes()[:4096])
+    elif request.param == "empty":
+        path.write_bytes(b"")
+    else:
+        np.savez(path, structure=np.array("{not json"))
+    return path

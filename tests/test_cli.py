@@ -140,10 +140,12 @@ class TestTrainSource:
                                             "config-resolved.txt"))
         assert resolved == config.load(tiny_cfg_path)
 
-    def test_checkpoint_reloads(self, source_run):
+    def test_checkpoint_reloads(self, source_run, tiny_cfg_path):
         net, meta = nn.load_checkpoint(os.path.join(source_run, "source.npz"))
         assert net.encoder is None
-        assert meta["phase"] == "source"
+        cfg = config.load(tiny_cfg_path)
+        assert meta == {"phase": "source", "seed": cfg.seed,
+                        "config_hash": engine.config_hash(cfg)}
 
 
 class TestAdaptEvaluate:
@@ -178,6 +180,16 @@ class TestAdaptEvaluate:
         assert rc == 2
         assert f"frozen block {block}" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(run_dir, "adapted.npz"))
+
+    def test_not_a_checkpoint_exits_2(self, prep_dir, not_a_checkpoint,
+                                       tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        rc = run("evaluate", "--checkpoint", str(not_a_checkpoint),
+                 "--data-dir", prep_dir, "--run-dir", str(run_dir))
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "is not a checkpoint" in err[0], err
+        assert not (run_dir / "report.txt").exists()
 
     def test_run_dir_env_var(self, prep_dir, tiny_cfg_path, source_run,
                              tmp_path, monkeypatch):

@@ -106,10 +106,12 @@ class TestTrainSource:
     def test_checkpoint_persisted(self, tmp_path):
         net = engine.build_model("fcn", seed=11)
         path = tmp_path / "source.npz"
-        engine.train_source(net, blob_dataset(30, seed=2),
-                            quick_cfg(source_epochs=1), checkpoint_path=path)
+        cfg = quick_cfg(source_epochs=1)
+        engine.train_source(net, blob_dataset(30, seed=2), cfg, seed=3,
+                            checkpoint_path=path)
         loaded, meta = nn.load_checkpoint(path)
-        assert meta["phase"] == "source"
+        assert meta == {"phase": "source", "seed": 3,
+                        "config_hash": engine.config_hash(cfg)}
         assert engine.checksum(loaded) == engine.checksum(net)
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -355,12 +356,14 @@ class TestLayerGradients:
     CASES = [
         ("linear_1024_512", lambda rng: (nn.Linear(1024, 512, rng=rng), (2, 1024))),
         ("linear_256_128", lambda rng: (nn.Linear(256, 128, rng=rng), (2, 256))),
+        # the CNN's last layer flattens its (B, C, H, W) input itself
+        ("linear_48_10_4d", lambda rng: (nn.Linear(48, 10, rng=rng), (2, 3, 4, 4))),
         ("conv_1_16_s1", lambda rng: (nn.Conv2d(1, 16, 3, 3, 1, 1, rng=rng), (2, 1, 12, 12))),
         ("conv_16_32_s2", lambda rng: (nn.Conv2d(16, 32, 3, 3, 2, 1, rng=rng), (2, 16, 8, 8))),
         ("conv_64_64_s1", lambda rng: (nn.Conv2d(64, 64, 3, 3, 1, 1, rng=rng), (1, 64, 4, 4))),
         ("relu", lambda rng: (nn.ReLU(), (2, 5, 4, 4))),
-        ("flatten", lambda rng: (nn.Flatten(), (2, 3, 4, 4))),
     ]
+    WITH_PARAMS = [c for c in CASES if c[0] != "relu"]
 
     @pytest.mark.parametrize("name,factory", CASES, ids=[c[0] for c in CASES])
     def test_input_gradient(self, name, factory):
@@ -372,7 +375,7 @@ class TestLayerGradients:
         err = tc.grad_check(project_fn(layer, r), x, eps=1e-5, max_coords=60, rng=rng)
         assert err < 1e-4
 
-    @pytest.mark.parametrize("name,factory", CASES[:5], ids=[c[0] for c in CASES[:5]])
+    @pytest.mark.parametrize("name,factory", WITH_PARAMS, ids=[c[0] for c in WITH_PARAMS])
     def test_param_gradients(self, name, factory):
         rng = np.random.default_rng(hash(name + "p") % 2**32)
         layer, in_shape = factory(rng)
@@ -446,3 +449,64 @@ class TestCheckpoint:
         loaded, _ = nn.load_checkpoint(path)
         x = np.random.default_rng(12).normal(size=(3, 1024))
         np.testing.assert_array_equal(loaded.forward(x)[1], net.forward(x)[1])
+
+    def test_cnn_with_encoder_reload_identical(self, tmp_path):
+        net = nn.build_cnn(seed=4)
+        nn.build_encoder(net, seed=5, noise_scale=0.1)
+        nn.set_frozen(net, ("n1", "n2"), True)
+        path = tmp_path / "cnn.npz"
+        nn.save_checkpoint(net, path)
+        loaded, _ = nn.load_checkpoint(path)
+        for name, layers in net.blocks().items():
+            assert ([l.descriptor() for l in loaded.blocks()[name]]
+                    == [l.descriptor() for l in layers]), name
+        x = np.random.default_rng(13).normal(size=(2, 1, 32, 32))
+        for use_encoder in (False, True):
+            assert (loaded.forward(x, use_encoder)[1].tobytes()
+                    == net.forward(x, use_encoder)[1].tobytes()), use_encoder
+
+    def test_fcn_structure_format(self, tmp_path):
+        # the bytes every FCN checkpoint written so far holds; the loader
+        # must keep reading them
+        net = nn.build_fcn(seed=0)
+        nn.build_encoder(net, seed=1)
+        nn.set_frozen(net, ("n1", "n2"), True)
+        path = tmp_path / "fcn.npz"
+        nn.save_checkpoint(net, path, meta={"phase": "adapted", "seed": 0})
+        with np.load(path) as stored:
+            structure = str(stored["structure"])
+        enc = '{"frozen": false, "in_dim": 256, "kind": "linear", "out_dim": 256}'
+        assert structure == (
+            '{"arch": "fcn", "blocks": {"encoder": [' + enc + ", " + enc + '], '
+            '"n1": [{"frozen": true, "in_dim": 1024, "kind": "linear", "out_dim": 512}, '
+            '{"frozen": true, "in_dim": 512, "kind": "linear", "out_dim": 256}], '
+            '"n2": [{"frozen": true, "in_dim": 256, "kind": "linear", "out_dim": 128}, '
+            '{"frozen": true, "in_dim": 128, "kind": "linear", "out_dim": 10}]}, '
+            '"meta": {"phase": "adapted", "seed": 0}, "split_shape": [256]}')
+        assert nn.load_checkpoint(path)[0].param_bytes() == net.param_bytes()
+
+    def test_unknown_layer_kind(self, tmp_path):
+        # a CNN checkpoint written with a flatten layer before the Linear
+        path = tmp_path / "old.npz"
+        nn.save_checkpoint(nn.build_cnn(seed=0), path)
+        with np.load(path) as stored:
+            arrays = dict(stored)
+        structure = json.loads(str(arrays["structure"]))
+        structure["blocks"]["n2"].insert(6, {"kind": "flatten", "frozen": False})
+        arrays["structure"] = np.array(json.dumps(structure, sort_keys=True))
+        np.savez(path, **arrays)
+        with pytest.raises(nn.NetworkError, match="unknown layer kind 'flatten'"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("read", [nn.load_checkpoint, nn.checkpoint_meta],
+                             ids=["load", "meta"])
+    def test_not_a_checkpoint(self, not_a_checkpoint, read):
+        with pytest.raises(nn.NetworkError,
+                           match=f"{not_a_checkpoint.name} is not a checkpoint"):
+            read(not_a_checkpoint)
+
+    @pytest.mark.parametrize("read", [nn.load_checkpoint, nn.checkpoint_meta],
+                             ids=["load", "meta"])
+    def test_missing_file_is_oserror(self, tmp_path, read):
+        with pytest.raises(FileNotFoundError):
+            read(tmp_path / "missing.npz")
