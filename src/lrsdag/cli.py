@@ -202,7 +202,8 @@ def cmd_adapt(args):
     if loss.needs_sampler:
         source_train = _load_prepared(args.data_dir, "source-train", "source",
                                       "train")
-        sampler = engine.source_sampler(net, source_train, cfg, cfg.seed)
+        sampler = engine.source_sampler(evaluate.features(net, source_train),
+                                        cfg, cfg.seed)
     _, history = engine.adapt(net, target_train, sampler, cfg, seed=cfg.seed)
     adapted = os.path.join(run_dir, "adapted.npz")
     nn.save_checkpoint(net, adapted,

@@ -21,6 +21,10 @@ from .tensor_core import ShapeMismatch
 
 IDX_UBYTE = 0x08
 
+# make_syn_mnist sums an image's pixels for the contrast step's mean; no
+# image it is given has more pixels than this
+MAX_IMAGE_PIXELS = 2 ** 32
+
 
 class DataError(Exception):
     """Base class for dataset failures."""
@@ -98,6 +102,14 @@ class SynParams:
                                 ("contrast", self.contrast)):
             if not 0 < lo <= hi:
                 raise DataError(f"{label} range must satisfy 0 < lo <= hi")
+        # pixels start in [0, 1]; after brightness b they lie in [0, b], the
+        # mean sums up to MAX_IMAGE_PIXELS of them, and contrast c puts a
+        # pixel at most b + b * c from zero, so every step stays under
+        # MAX_IMAGE_PIXELS * b * (1 + c)
+        worst = MAX_IMAGE_PIXELS * self.brightness[1] * (1.0 + self.contrast[1])
+        if not worst <= np.finfo(np.float64).max:
+            raise DataError(f"brightness_hi {self.brightness[1]!r} with contrast_hi "
+                            f"{self.contrast[1]!r} overflows float64 pixel values")
 
     @classmethod
     def identity(cls, seed=0):

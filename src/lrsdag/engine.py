@@ -100,6 +100,10 @@ class DomainData:
     target_test: data.Dataset
 
 
+SPLITS = tuple(f.name for f in fields(DomainData))
+TEST_SPLITS = ("source_test", "target_test")
+
+
 @dataclass
 class RunRecord:
     """Outcome of one trained-and-evaluated method."""
@@ -136,30 +140,18 @@ def stopping_check(history, threshold):
     return len(history) >= 2 and abs(history[-1] - history[-2]) < threshold
 
 
-@dataclass(frozen=True)
-class _SplitInputs:
-    """n1 output over a dataset, in the form `data.batches` reads."""
-
-    images: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self):
-        return len(self.labels)
-
-
 def _training_inputs(net, ds):
     """What each training step feeds the network, and the pass taking it.
 
-    With every n1 layer frozen, f(x) is a constant of the fit: n1 runs
-    once over the whole set and each step runs only the encoder and n2.
-    Otherwise steps take the images and run the whole network.
+    With every n1 layer frozen, f(x) is a constant of the fit: steps read
+    the Features of `ds` (N1 runs over it here once, unless it holds
+    them already) and run only the encoder and n2.  Otherwise steps take
+    the images and run the whole network.
     """
     if len(ds) == 0:
         raise EngineError(f"{ds.name} {ds.split} set is empty; nothing to train on")
     if all(layer.frozen for layer in net.n1):
-        feats = evaluate.feature_matrix(net, ds)
-        return (_SplitInputs(feats.reshape((len(ds),) + net.split_shape), ds.labels),
-                net.head)
+        return evaluate.features(net, ds), net.head
     return ds, net.forward
 
 
@@ -241,8 +233,9 @@ def adapt(net, target_train, sampler, cfg, seed=None):
     needs reference features without a `sampler` raises EngineError
     before the network is touched.  N1 and N2 are frozen; only encoder
     parameters step, and `_train` raises EngineError if any bit of N1 or
-    N2 differs afterwards.  The N1 features f(T) of the whole target set
-    are computed once, before the first epoch; each step runs the
+    N2 differs afterwards.  `target_train` is the target set or its
+    Features; from the set, f(T) is computed once, before the first
+    epoch.  Each step runs the
     encoder and N2 on its rows of them, and backpropagates through N2
     (input gradients only) into the encoder.  Batches too small for the
     alignment term are skipped.  Stops on the epoch-loss delta falling
@@ -268,9 +261,10 @@ def adapt(net, target_train, sampler, cfg, seed=None):
     return net, history
 
 
-def source_sampler(net, source_train, cfg, seed):
-    """The cfg.sampling sampler `adapt` draws reference N1 features from."""
-    feats = evaluate.feature_matrix(net, source_train)
+def source_sampler(source_features, cfg, seed):
+    """The cfg.sampling sampler `adapt` draws reference N1 features from,
+    over the Features of the source training set."""
+    feats = source_features.images.reshape(len(source_features), -1)
     return sampling.make_sampler(cfg.sampling, feats,
                                  derive_rng(seed, "sampler", cfg.sampling))
 
@@ -284,8 +278,44 @@ def _pretrain(source_train, cfg, seed, checkpoint_path=None):
     return net, tuple(history)
 
 
+class Trial:
+    """One trial's phase-1 model as plain arrays, and f(x) = N1(x) over the
+    splits its pretrained cells read.
+
+    N1 is frozen after phase 1, so f(x) is a constant of the trial: N1
+    runs once over each split named in `splits`, in `feature_matrix`
+    batches, when the Trial is made, and never again.  `features` is a
+    DomainData of `evaluate.Features`, None for a split not named; every
+    pretrained method trains and is scored on it.  No Network is kept, so
+    no gradient buffer or layer cache outlives the feature pass, and
+    `network()` rebuilds the phase-1 model, N1 frozen, for one cell.
+    `history` is the phase-1 loss history when phase 1 ran here, () for a
+    loaded checkpoint.
+    """
+
+    def __init__(self, net, bundle, splits, history=()):
+        nn.set_frozen(net, ("n1",), True)
+        self.features = DomainData(**{
+            name: evaluate.features(net, getattr(bundle, name)) if name in splits
+            else None for name in SPLITS})
+        self.state = nn.network_state(net)
+        self.history = tuple(history)
+
+    @classmethod
+    def start(cls, bundle, cfg, seed, pretrained_path=None, splits=SPLITS):
+        """The Trial of the checkpoint at `pretrained_path`, which must
+        exist, or of a phase-1 model trained here when it is None."""
+        if pretrained_path is not None:
+            return cls(nn.load_checkpoint(pretrained_path)[0], bundle, splits)
+        net, history = _pretrain(bundle.source_train, cfg, seed)
+        return cls(net, bundle, splits, history)
+
+    def network(self):
+        return nn.rebuild(*self.state)
+
+
 def _lrsdag_step(net, bundle, cfg, seed):
-    sampler = (source_sampler(net, bundle.source_train, cfg, seed)
+    sampler = (source_sampler(bundle.source_train, cfg, seed)
                if losses.LOSSES[cfg.loss].needs_sampler else None)
     return adapt(net, bundle.target_train, sampler, cfg, seed=seed)
 
@@ -308,6 +338,12 @@ def _lrsdag_row(cfg):
     return loss.display, cfg.sampling if loss.needs_sampler else "-"
 
 
+def _lrsdag_reads(cfg):
+    if losses.LOSSES[cfg.loss].needs_sampler:
+        return ("source_train", "target_train")
+    return ("target_train",)
+
+
 @dataclass(frozen=True)
 class Method:
     """One method of the comparison table.
@@ -316,21 +352,25 @@ class Method:
     says whether it starts from the trial's phase-1 model.
     `phase2(net, bundle, cfg, seed)` trains on from that model (None
     without `pretrained`) and returns (net, loss_history); a method
-    without a phase-2 step reports the phase-1 model.
+    without a phase-2 step reports the phase-1 model.  A pretrained
+    method's `bundle` holds the trial's Features; `reads(cfg)` names the
+    training splits among them that `phase2` reads (the test splits are
+    read by every pretrained method, to score it).
     """
 
     row: object
     pretrained: bool
     phase2: object
+    reads: object = lambda cfg: ()
 
 
 METHODS = {
-    "lrsdag": Method(_lrsdag_row, True, _lrsdag_step),
+    "lrsdag": Method(_lrsdag_row, True, _lrsdag_step, _lrsdag_reads),
     "source_trained": Method(lambda cfg: ("Source only", "-"), True, None),
     "target_trained": Method(lambda cfg: ("Target only", "-"), False,
                              _target_step),
     "finetune_n2": Method(lambda cfg: ("Finetune N2", "-"), True,
-                          _finetune_step),
+                          _finetune_step, lambda cfg: ("target_train",)),
 }
 
 BASELINE_KINDS = tuple(name for name in METHODS if name != "lrsdag")
@@ -342,32 +382,39 @@ def _method(name):
     return METHODS[name]
 
 
-def _fit(bundle, cfg, method, seed, pretrained_path=None):
+def _fit(bundle, cfg, method, seed, trial=None):
     """Train one method end to end; returns (net, loss_history).
 
-    A method that starts from phase 1 loads `pretrained_path`, which must
-    exist, or trains a phase-1 model when it is None; that model's loss
+    A method that starts from phase 1 starts from `trial.network()` and
+    reads the trial's Features in place of `bundle`; the trial's phase-1
     history is the fit's unless a phase-2 step follows.
     """
     entry = _method(method)
     net, history = None, ()
-    if entry.pretrained and pretrained_path is None:
-        net, history = _pretrain(bundle.source_train, cfg, seed)
-    elif entry.pretrained:
-        net, _ = nn.load_checkpoint(pretrained_path)
+    if entry.pretrained:
+        net, history, bundle = trial.network(), trial.history, trial.features
     if entry.phase2 is not None:
         net, history = entry.phase2(net, bundle, cfg, seed)
     return net, tuple(history)
 
 
-def _run(method, bundle, cfg, seed, pretrained_path):
-    """Fit one method and evaluate it into a RunRecord."""
+def _run(method, bundle, cfg, seed, pretrained_path, trial=None):
+    """Fit one method and evaluate it into a RunRecord.
+
+    Without `trial`, a method that starts from phase 1 makes one from
+    `pretrained_path` (see `Trial.start`) over just the splits it reads.
+    """
     seed = cfg.seed if seed is None else seed
     started = time.perf_counter()
-    net, history = _fit(bundle, cfg, method, seed, pretrained_path)
-    name, strategy = METHODS[method].row(cfg)
+    entry = _method(method)
+    if entry.pretrained and trial is None:
+        trial = Trial.start(bundle, cfg, seed, pretrained_path,
+                            entry.reads(cfg) + TEST_SPLITS)
+    net, history = _fit(bundle, cfg, method, seed, trial)
+    scored = trial.features if entry.pretrained else bundle
+    name, strategy = entry.row(cfg)
     report = evaluate.evaluate_pair(
-        net, bundle.source_test, bundle.target_test,
+        net, scored.source_test, scored.target_test,
         metadata={"config_hash": config_hash(cfg), "trial_seed": seed})
     return RunRecord(
         method=name,
@@ -380,16 +427,17 @@ def _run(method, bundle, cfg, seed, pretrained_path):
     )
 
 
-def run_lrsdag(bundle, cfg, seed=None, pretrained_path=None):
-    """Pretrain (or load), adapt with cfg.loss/cfg.sampling, evaluate."""
-    return _run("lrsdag", bundle, cfg, seed, pretrained_path)
+def run_lrsdag(bundle, cfg, seed=None, pretrained_path=None, trial=None):
+    """Pretrain (or load, or take from `trial`), adapt with
+    cfg.loss/cfg.sampling, evaluate."""
+    return _run("lrsdag", bundle, cfg, seed, pretrained_path, trial)
 
 
-def run_baseline(kind, bundle, cfg, seed=None, pretrained_path=None):
+def run_baseline(kind, bundle, cfg, seed=None, pretrained_path=None, trial=None):
     """Run one of the three reference procedures and evaluate it."""
     if kind not in BASELINE_KINDS:
         raise ConfigError(f"unknown baseline {kind!r}")
-    return _run(kind, bundle, cfg, seed, pretrained_path)
+    return _run(kind, bundle, cfg, seed, pretrained_path, trial)
 
 
 def average_records(records):
@@ -441,14 +489,17 @@ def grid_search(lrs, weight_decays, bundle, val, cfg, method="lrsdag",
     """
     if not lrs or not weight_decays:
         raise ConfigError("grid must contain at least one lr and one weight_decay")
-    if pretrained_path is not None and not _method(method).pretrained:
+    entry = _method(method)
+    if pretrained_path is not None and not entry.pretrained:
         raise ConfigError(f"--checkpoint does not apply to method {method}, "
                           "which does not start from a phase-1 model")
     best_key, best_cfg = None, None
     for lr in lrs:
         for wd in weight_decays:
             cand = replace(cfg, lr=float(lr), weight_decay=float(wd))
-            net, _ = _fit(bundle, cand, method, cand.seed, pretrained_path)
+            trial = (Trial.start(bundle, cand, cand.seed, pretrained_path,
+                                 entry.reads(cand)) if entry.pretrained else None)
+            net, _ = _fit(bundle, cand, method, cand.seed, trial)
             score = evaluate.accuracy(net, val,
                                       use_encoder=net.encoder is not None)
             key = (-score, lr, wd)
@@ -464,11 +515,6 @@ def method_inventory():
         strategies = sampling.SAMPLER_KINDS if loss.needs_sampler else ("-",)
         rows.extend(("lrsdag", kind, strat) for strat in strategies)
     return rows
-
-
-def _cell_path(run_dir, family, key, strategy, trial):
-    return os.path.join(run_dir, "cells",
-                        f"{family}.{key}.{strategy}.trial{trial}.json")
 
 
 def _save_record(path, rec):
@@ -529,51 +575,97 @@ def _write_loss_csv(path, history):
     data.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+@dataclass(frozen=True)
+class _Cell:
+    """One row of the report and the config its cells run under."""
+
+    family: str
+    key: str
+    strategy: str
+    cfg: ExperimentConfig
+
+    @property
+    def method(self):
+        return self.key if self.family == "baseline" else "lrsdag"
+
+    def path(self, run_dir, trial):
+        return os.path.join(run_dir, "cells", f"{self.family}.{self.key}."
+                            f"{self.strategy}.trial{trial}.json")
+
+
+def _cells(cfg):
+    return [_Cell(family, key, strategy, cfg if family == "baseline" else replace(
+                cfg, loss=key, sampling=strategy if strategy != "-" else cfg.sampling))
+            for family, key, strategy in method_inventory()]
+
+
+def _compute_cell(cell, bundle, cfg, run_dir, trial, cache):
+    seed = cfg.seed + trial
+    if cell.family == "baseline":
+        rec = run_baseline(cell.key, bundle, cfg, seed=seed, trial=cache)
+    else:
+        rec = run_lrsdag(bundle, cell.cfg, seed=seed, trial=cache)
+        _write_loss_csv(
+            os.path.join(run_dir,
+                         f"adapt-loss.{cell.key}.{cell.strategy}.trial{trial}.csv"),
+            rec.loss_history)
+    _save_record(cell.path(run_dir, trial), rec)
+    return rec
+
+
+def _reproduce_trial(bundle, cfg, run_dir, trial, todo):
+    """Compute the given cells of one trial; returns {cell: record}.
+
+    The trial's phase-1 checkpoint is trained or checked first, so one
+    from another config stops the run before any cell is computed.  The
+    cells that do not start from phase 1 run next, before the trial's
+    cache exists; then one Trial, over the splits the remaining cells
+    read, serves them all.  It is freed when this returns.
+    """
+    pretrained = [c for c in todo if METHODS[c.method].pretrained]
+    path = ensure_pretrained(bundle, cfg, run_dir, trial) if pretrained else None
+    out = {c: _compute_cell(c, bundle, cfg, run_dir, trial, None)
+           for c in todo if c not in pretrained}
+    if pretrained:
+        splits = set(TEST_SPLITS).union(
+            *(METHODS[c.method].reads(c.cfg) for c in pretrained))
+        cache = Trial.start(bundle, cfg, cfg.seed + trial, path, splits)
+        for c in pretrained:
+            out[c] = _compute_cell(c, bundle, cfg, run_dir, trial, cache)
+    return out
+
+
 def reproduce(bundle, cfg, run_dir):
     """Run every method for cfg.trials trials and render the report.
 
     Completed cells are persisted as JSON under run_dir/cells and act as
     resume markers: re-running skips them, so an interrupted run picks
-    up where it stopped.  A truncated or unreadable cell is computed
-    again; a cell or phase-1 checkpoint left by a different config
-    raises ConfigError naming the file.  Phase-1 checkpoints are shared
-    by all methods within a trial.
+    up where it stopped.  Every stored cell is read, in trial and then
+    inventory order, before any is computed: a truncated or unreadable
+    cell is computed again, and a cell or phase-1 checkpoint left by a
+    different config raises ConfigError naming the file.  The missing
+    cells are then computed trial by trial (see `_reproduce_trial`):
+    one phase-1 checkpoint and one Trial, N1 run once over each split,
+    serve all of a trial's pretrained cells, and one trial's cache is
+    alive at a time.
     """
     os.makedirs(os.path.join(run_dir, "cells"), exist_ok=True)
-    averaged = []
-    for family, key, strategy in method_inventory():
-        if family == "baseline":
-            method, cell_cfg = key, cfg
-        else:
-            method = "lrsdag"
-            cell_cfg = replace(cfg, loss=key,
-                               sampling=strategy if strategy != "-"
-                               else cfg.sampling)
-        trial_records = []
-        for trial in range(cfg.trials):
-            cell = _cell_path(run_dir, family, key, strategy, trial)
-            rec = _load_record(cell) if os.path.exists(cell) else None
-            if rec is not None:
-                if rec.config != cell_cfg.snapshot():
-                    raise ConfigError(
-                        f"{cell} was computed under another config; "
-                        "rerun into a fresh run dir")
-                trial_records.append(rec)
+    cells = _cells(cfg)
+    records = [{} for _ in range(cfg.trials)]
+    for trial, stored in enumerate(records):
+        for cell in cells:
+            path = cell.path(run_dir, trial)
+            rec = _load_record(path) if os.path.exists(path) else None
+            if rec is None:
                 continue
-            seed = cfg.seed + trial
-            pre = (ensure_pretrained(bundle, cfg, run_dir, trial)
-                   if METHODS[method].pretrained else None)
-            if family == "baseline":
-                rec = run_baseline(key, bundle, cfg, seed=seed,
-                                   pretrained_path=pre)
-            else:
-                rec = run_lrsdag(bundle, cell_cfg, seed=seed, pretrained_path=pre)
-                _write_loss_csv(
-                    os.path.join(run_dir,
-                                 f"adapt-loss.{key}.{strategy}.trial{trial}.csv"),
-                    rec.loss_history)
-            _save_record(cell, rec)
-            trial_records.append(rec)
-        averaged.append(average_records(trial_records))
+            if rec.config != cell.cfg.snapshot():
+                raise ConfigError(f"{path} was computed under another config; "
+                                  "rerun into a fresh run dir")
+            stored[cell] = rec
+    for trial, stored in enumerate(records):
+        todo = [c for c in cells if c not in stored]
+        if todo:
+            stored.update(_reproduce_trial(bundle, cfg, run_dir, trial, todo))
+    averaged = [average_records([stored[c] for stored in records]) for c in cells]
     evaluate.write_report(averaged, run_dir)
     return averaged

@@ -44,10 +44,38 @@ def confusion_matrix(net, ds, use_encoder=False):
     return _confusion(ds.labels, predictions(net, ds, use_encoder))
 
 
+@dataclass(frozen=True)
+class Features:
+    """N1 output f(x) over a dataset, shaped (N,) + split shape.
+
+    It stands in for the dataset wherever the network reads it with N1
+    frozen: `data.batches` yields its rows under `images`, training steps
+    run only the encoder and N2 on them, and prediction skips N1.
+    """
+
+    images: np.ndarray
+    labels: np.ndarray
+    name: str
+    split: str
+
+    def __len__(self):
+        return len(self.labels)
+
+
+def features(net, ds):
+    """f(x) over `ds` as Features, from one `feature_matrix` pass; `ds`
+    itself when it holds N1 output already."""
+    if isinstance(ds, Features):
+        return ds
+    feats = feature_matrix(net, ds)
+    return Features(feats.reshape((len(ds),) + net.split_shape), ds.labels,
+                    ds.name, ds.split)
+
+
 def feature_matrix(net, ds, through_encoder=False):
     """Split features over a dataset, flattened to N x k: f(x), or with
     `through_encoder` the h(f(x)) that `Network.head` feeds to N2."""
-    chunks = []
+    chunks = [np.zeros((0, net.split_dim))]
     for images, labels in data.batches(ds, BATCH_SIZE):
         feats = net.forward_features(images)
         if through_encoder:
@@ -86,12 +114,13 @@ class EvalReport:
 
 def _shared_n1_predictions(net, ds, tags):
     """Predicted classes per tag ("without"/"with" the encoder), running
-    N1 once per batch for all tags.  A function of its own so that one
-    domain's features are freed before the next domain's N1 pass, which
-    sets the evaluation's peak memory."""
+    N1 once per batch for all tags, or not at all over Features.  A
+    function of its own so that one domain's features are freed before
+    the next domain's N1 pass, which sets the evaluation's peak memory."""
+    n1 = (lambda x: x) if isinstance(ds, Features) else net.forward_features
     preds = {tag: [np.zeros(0, dtype=np.int64)] for tag in tags}
     for images, _ in data.batches(ds, BATCH_SIZE):
-        feats = net.forward_features(images)
+        feats = n1(images)
         for tag in tags:
             _, logits = net.head(feats, use_encoder=tag == "with")
             preds[tag].append(np.argmax(logits, axis=1))
@@ -101,10 +130,10 @@ def _shared_n1_predictions(net, ds, tags):
 def evaluate_pair(net, source_test, target_test, metadata=None):
     """Score both domains with the encoder bypassed and included.
 
-    N1 runs once per example: each batch's features go through N2
-    directly and, when an encoder is attached, through the encoder and
-    N2.  Without an encoder the with-encoder cells mirror the bypassed
-    ones.
+    N1 runs once per example, and not at all on Features: each batch's
+    features go through N2 directly and, when an encoder is attached,
+    through the encoder and N2.  Without an encoder the with-encoder
+    cells mirror the bypassed ones.
     """
     tags = ("without", "with") if net.encoder is not None else ("without",)
     acc, conf, counts = {}, {}, {}

@@ -459,6 +459,45 @@ class Adam:
                 p.value -= b
 
 
+def network_state(network):
+    """(structure, arrays): the network as plain data, the form a checkpoint
+    stores and `rebuild` reads.  `structure` holds the architecture and the
+    layer descriptors; `arrays` maps "<block>.<layer>.<param>" to the
+    parameter values themselves, not copies."""
+    structure = {
+        "arch": network.arch,
+        "split_shape": list(network.split_shape),
+        "blocks": {name: [l.descriptor() for l in layers]
+                   for name, layers in network.blocks().items()},
+    }
+    arrays = {f"{name}.{i}.{j}": p.value
+              for name, layers in network.blocks().items()
+              for i, layer in enumerate(layers)
+              for j, p in enumerate(layer.params())}
+    return structure, arrays
+
+
+def rebuild(structure, arrays):
+    """A fresh Network from `network_state` output (or an open checkpoint);
+    every parameter is copied out of `arrays`, so training the network
+    leaves them as they were."""
+    blocks = {}
+    for name, descriptors in structure["blocks"].items():
+        layers = [_layer_from_descriptor(d) for d in descriptors]
+        for i, layer in enumerate(layers):
+            for j, p in enumerate(layer.params()):
+                stored = arrays[f"{name}.{i}.{j}"]
+                if stored.shape != p.value.shape:
+                    raise NetworkError(
+                        f"checkpoint array {name}.{i}.{j} has shape {stored.shape}, "
+                        f"expected {p.value.shape}")
+                p.value[:] = stored
+        blocks[name] = layers
+    return Network(structure["arch"], blocks["n1"], blocks["n2"],
+                   split_shape=structure["split_shape"],
+                   encoder=blocks.get("encoder"))
+
+
 def save_checkpoint(network, path, meta=None):
     """Serialize structure, parameters and metadata; round-trips bit-exactly.
 
@@ -466,18 +505,10 @@ def save_checkpoint(network, path, meta=None):
     temporary file that replaces `path` only once it is complete; a
     failed save leaves neither behind.
     """
-    structure = {
-        "arch": network.arch,
-        "split_shape": list(network.split_shape),
-        "blocks": {name: [l.descriptor() for l in layers]
-                   for name, layers in network.blocks().items()},
-        "meta": meta or {},
-    }
-    arrays = {"structure": np.array(json.dumps(structure, sort_keys=True))}
-    for name, layers in network.blocks().items():
-        for i, layer in enumerate(layers):
-            for j, p in enumerate(layer.params()):
-                arrays[f"{name}.{i}.{j}"] = p.value
+    structure, arrays = network_state(network)
+    structure["meta"] = meta or {}
+    arrays = {"structure": np.array(json.dumps(structure, sort_keys=True)),
+              **arrays}
     os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     with atomic_open(path) as fh:
         np.savez(fh, **arrays)
@@ -509,21 +540,12 @@ def checkpoint_meta(path):
 
 
 def load_checkpoint(path):
-    """Rebuild a Network (and its metadata) from `save_checkpoint` output."""
+    """Rebuild a Network (and its metadata) from `save_checkpoint` output.
+
+    A checkpoint the layer table cannot rebuild (an unknown layer kind,
+    an array of the wrong shape) raises NetworkError naming the path."""
     with _open_checkpoint(path) as (data, structure):
-        blocks = {}
-        for name, descriptors in structure["blocks"].items():
-            layers = [_layer_from_descriptor(d) for d in descriptors]
-            for i, layer in enumerate(layers):
-                for j, p in enumerate(layer.params()):
-                    stored = data[f"{name}.{i}.{j}"]
-                    if stored.shape != p.value.shape:
-                        raise NetworkError(
-                            f"checkpoint array {name}.{i}.{j} has shape {stored.shape}, "
-                            f"expected {p.value.shape}")
-                    p.value[:] = stored
-            blocks[name] = layers
-        net = Network(structure["arch"], blocks["n1"], blocks["n2"],
-                      split_shape=structure["split_shape"],
-                      encoder=blocks.get("encoder"))
-        return net, structure["meta"]
+        try:
+            return rebuild(structure, data), structure["meta"]
+        except NetworkError as exc:
+            raise NetworkError(f"{os.fspath(path)}: {exc}") from exc

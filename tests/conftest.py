@@ -1,5 +1,7 @@
 """Fixtures shared by the engine and CLI tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,28 @@ def not_a_checkpoint(request, tmp_path):
     else:
         np.savez(path, structure=np.array("{not json"))
     return path
+
+
+@pytest.fixture
+def unbuildable_checkpoint(tmp_path):
+    """`make(case)` writes a CNN checkpoint the layer table cannot rebuild
+    and returns its path: "flatten" names a layer kind that no longer
+    exists before the Linear, as CNN checkpoints once did; "shape" gives
+    the Linear a weight of the wrong shape."""
+    def make(case):
+        path = tmp_path / f"{case}.npz"
+        nn.save_checkpoint(nn.build_cnn(seed=0), path)
+        with np.load(path) as stored:
+            arrays = dict(stored)
+        structure = json.loads(str(arrays["structure"]))
+        if case == "flatten":
+            structure["blocks"]["n2"].insert(6, {"kind": "flatten", "frozen": False})
+        elif case == "shape":
+            arrays["n2.6.0"] = np.zeros((10, 8))
+        else:
+            raise ValueError(case)
+        arrays["structure"] = np.array(json.dumps(structure, sort_keys=True))
+        np.savez(path, **arrays)
+        return str(path)
+
+    return make

@@ -108,9 +108,10 @@ class TestPrepareData:
         (("--demo-size", "40", "--syn-params-file", "shear-huge.txt"), 2),
         (("--demo-size", "40", "--syn-params-file", "brightness-inf.txt"), 2),
         (("--demo-size", "40", "--syn-params-file", "contrast-inf.txt"), 2),
+        (("--demo-size", "40", "--syn-params-file", "brightness-huge.txt"), 2),
     ], ids=["demo-size", "subsample", "val", "params-missing", "params-key",
             "params-duplicate", "shear-inf", "shear-nan", "shear-huge",
-            "brightness-inf", "contrast-inf"])
+            "brightness-inf", "contrast-inf", "brightness-huge"])
     def test_bad_argument_rejected_before_corpus(self, tmp_path, capsys,
                                                  bad, code):
         (tmp_path / "unknown-key.txt").write_text("flip_prob = 0.5\nbogus = 1\n")
@@ -120,7 +121,8 @@ class TestPrepareData:
                            ("shear-nan", "shear_max_deg = nan"),
                            ("shear-huge", "shear_max_deg = 1e308"),
                            ("brightness-inf", "brightness_hi = inf"),
-                           ("contrast-inf", "contrast_hi = inf")):
+                           ("contrast-inf", "contrast_hi = inf"),
+                           ("brightness-huge", "brightness_hi = 1e308")):
             (tmp_path / f"{name}.txt").write_text(line + "\n")
         bad = [str(tmp_path / a) if a.endswith(".txt") else a for a in bad]
         raw, out = tmp_path / "raw", tmp_path / "prep"
@@ -189,6 +191,18 @@ class TestAdaptEvaluate:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "is not a checkpoint" in err[0], err
+        assert not (run_dir / "report.txt").exists()
+
+    @pytest.mark.parametrize("case", ["flatten", "shape"])
+    def test_unbuildable_checkpoint_exits_2_naming_it(
+            self, prep_dir, unbuildable_checkpoint, tmp_path, capsys, case):
+        path = unbuildable_checkpoint(case)
+        run_dir = tmp_path / "run"
+        rc = run("evaluate", "--checkpoint", path, "--data-dir", prep_dir,
+                 "--run-dir", str(run_dir))
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and path in err[0], err
         assert not (run_dir / "report.txt").exists()
 
     def test_run_dir_env_var(self, prep_dir, tiny_cfg_path, source_run,

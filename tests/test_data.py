@@ -176,6 +176,20 @@ class TestSynMnist:
         with pytest.raises(data.DataError):
             data.SynParams(contrast=(0.7, float("inf")))
 
+    @pytest.mark.parametrize("brightness, contrast", [
+        ((0.7, 1e308), (0.7, 1.3)), ((0.7, 1e299), (0.7, 1e10))])
+    def test_overflowing_ranges_rejected(self, brightness, contrast):
+        with pytest.raises(data.DataError, match="overflows float64"):
+            data.SynParams(brightness=brightness, contrast=contrast)
+
+    def test_largest_accepted_ranges_stay_finite(self):
+        # just inside the bound, no step of the jitter overflows
+        hi = 0.5 * np.finfo(np.float64).max / (3.0 * data.MAX_IMAGE_PIXELS)
+        params = data.SynParams(brightness=(hi, hi), contrast=(2.0, 2.0), seed=3)
+        with np.errstate(all="raise"):
+            out = data.make_syn_mnist(toy_dataset(n=4), params)
+        assert np.all(np.isfinite(out.images))
+
     def test_shear_up_to_90_degrees(self):
         ds = toy_dataset(n=4)
         out = data.make_syn_mnist(ds, data.SynParams(shear_max_deg=90.0, seed=2))

@@ -299,8 +299,9 @@ class TestBaselines:
         engine.run_baseline("finetune_n2", bundle, quick_cfg(max_adapt_epochs=2),
                             pretrained_path=path)
         # re-run the underlying fit to inspect the trained network
-        fitted, _ = engine._fit(bundle, quick_cfg(max_adapt_epochs=2),
-                                "finetune_n2", 0, path)
+        cfg = quick_cfg(max_adapt_epochs=2)
+        fitted, _ = engine._fit(bundle, cfg, "finetune_n2", 0,
+                                engine.Trial.start(bundle, cfg, 0, path))
         assert engine.checksum(fitted, blocks=("n1",)) == n1_before
         assert engine.checksum(fitted, blocks=("n2",)) != n2_before
 
@@ -317,6 +318,16 @@ class TestBaselines:
     def test_unknown_kind(self):
         with pytest.raises(engine.ConfigError):
             engine.run_baseline("oracle", blob_bundle(), quick_cfg())
+
+    def test_empty_target_set_is_engine_error(self, pretrained):
+        path, bundle = pretrained
+        empty = engine.DomainData(
+            source_train=bundle.source_train, source_test=bundle.source_test,
+            target_train=bundle.target_train.select(np.arange(0)),
+            target_test=bundle.target_test)
+        with pytest.raises(engine.EngineError, match="blobs train set is empty"):
+            engine.run_baseline("finetune_n2", empty, quick_cfg(),
+                                pretrained_path=path)
 
 
 class TestFreezeCheck:
@@ -524,6 +535,128 @@ class TestReproduce:
             os.remove(tmp_path / "cells" / name)
         with pytest.raises(engine.ConfigError, match="pretrained-trial0.npz"):
             engine.reproduce(bundle, other, str(tmp_path))
+
+    @staticmethod
+    def _outputs(run_dir):
+        """Report, loss CSVs and cell records of a run; wall_clock left out."""
+        out = {}
+        for root, _, names in os.walk(run_dir):
+            for name in names:
+                path = os.path.join(root, name)
+                rel = os.path.relpath(path, run_dir)
+                if name.endswith(".json"):
+                    payload = json.loads(open(path, "rb").read())
+                    payload.pop("wall_clock")
+                    out[rel] = payload
+                elif name.endswith((".txt", ".csv")):
+                    out[rel] = open(path, "rb").read()
+        return out
+
+    @pytest.fixture(scope="class")
+    def two_trials(self, tmp_path_factory):
+        """(bundle, cfg, outputs) of an uninterrupted two-trial run."""
+        bundle = blob_bundle(n_train=40, n_test=20)
+        cfg = quick_cfg(source_epochs=2, max_adapt_epochs=2, trials=2)
+        run_dir = tmp_path_factory.mktemp("whole")
+        engine.reproduce(bundle, cfg, str(run_dir))
+        return bundle, cfg, self._outputs(run_dir)
+
+    @pytest.mark.parametrize("k", [1, 3, 14 + 2])
+    def test_interrupted_run_resumes_to_same_outputs(self, two_trials, tmp_path,
+                                                     monkeypatch, k):
+        bundle, cfg, want = two_trials
+        assert len([n for n in want if n.startswith("cells")]) == 28
+
+        saved = []
+        orig = engine._save_record
+
+        def save(path, rec):
+            if len(saved) == k:
+                raise KeyboardInterrupt
+            orig(path, rec)
+            saved.append(os.path.basename(path))
+
+        run_dir = tmp_path / "cut"
+        monkeypatch.setattr(engine, "_save_record", save)
+        with pytest.raises(KeyboardInterrupt):
+            engine.reproduce(bundle, cfg, str(run_dir))
+        assert sorted(os.listdir(run_dir / "cells")) == sorted(saved)
+        monkeypatch.setattr(engine, "_save_record", orig)
+        computed = []
+        for name in ("run_lrsdag", "run_baseline"):
+            fn = getattr(engine, name)
+            monkeypatch.setattr(engine, name, lambda *a, _fn=fn, **kw:
+                                computed.append(1) or _fn(*a, **kw))
+        engine.reproduce(bundle, cfg, str(run_dir))
+        assert len(computed) == 28 - k
+        assert self._outputs(run_dir) == want
+
+    def test_cells_equal_one_cell_calls(self, tmp_path, monkeypatch):
+        bundle = blob_bundle(n_train=40, n_test=20)
+        cfg = quick_cfg(source_epochs=2, max_adapt_epochs=2, trials=2)
+        loads, rows = [], []
+        orig_load, orig_features = nn.load_checkpoint, nn.Network.forward_features
+
+        def load(path):
+            loads.append(path)
+            return orig_load(path)
+
+        def forward_features(net, batch):
+            if all(layer.frozen for layer in net.n1):
+                rows.append(len(batch))
+            return orig_features(net, batch)
+
+        monkeypatch.setattr(nn, "load_checkpoint", load)
+        monkeypatch.setattr(nn.Network, "forward_features", forward_features)
+        engine.reproduce(bundle, cfg, str(tmp_path))
+        # one checkpoint load and one N1 pass over each split per trial
+        assert len(loads) == cfg.trials
+        assert sum(rows) == cfg.trials * sum(len(ds) for ds in (
+            bundle.source_train, bundle.source_test, bundle.target_train,
+            bundle.target_test))
+        monkeypatch.undo()
+
+        for cell in engine._cells(cfg):
+            for trial in range(cfg.trials):
+                path = str(tmp_path / "checkpoints" / f"pretrained-trial{trial}.npz")
+                seed = cfg.seed + trial
+                if cell.family == "lrsdag":
+                    rec = engine.run_lrsdag(bundle, cell.cfg, seed=seed,
+                                            pretrained_path=path)
+                elif cell.key == "target_trained":
+                    rec = engine.run_baseline(cell.key, bundle, cfg, seed=seed)
+                else:
+                    rec = engine.run_baseline(cell.key, bundle, cfg, seed=seed,
+                                              pretrained_path=path)
+                stored = engine._load_record(cell.path(str(tmp_path), trial))
+                for name in ("method", "strategy", "loss_history", "seeds",
+                             "config"):
+                    assert getattr(rec, name) == getattr(stored, name), name
+                assert rec.report.to_dict() == stored.report.to_dict()
+
+    @pytest.mark.parametrize("method, loss, reads", [
+        ("source_trained", "cls", ()),
+        ("finetune_n2", "cls", ("target_train",)),
+        ("lrsdag", "cls", ("target_train",)),
+        ("lrsdag", "cls_kl", ("source_train", "target_train"))])
+    def test_one_cell_reads_only_its_splits(self, pretrained, monkeypatch,
+                                            method, loss, reads):
+        path, bundle = pretrained
+        # a split the cell does not read is not there to read
+        bundle = engine.DomainData(**{
+            name: getattr(bundle, name) if name in reads + engine.TEST_SPLITS
+            else None for name in engine.SPLITS})
+        rows = []
+        orig = nn.Network.forward_features
+        monkeypatch.setattr(nn.Network, "forward_features", lambda net, batch:
+                            rows.append(len(batch)) or orig(net, batch))
+        cfg = quick_cfg(loss=loss, max_adapt_epochs=2)
+        if method == "lrsdag":
+            engine.run_lrsdag(bundle, cfg, pretrained_path=path)
+        else:
+            engine.run_baseline(method, bundle, cfg, pretrained_path=path)
+        assert sum(rows) == sum(len(getattr(bundle, name))
+                                for name in reads + engine.TEST_SPLITS)
 
     def test_ensure_pretrained_idempotent(self, tmp_path):
         bundle = blob_bundle(n_train=40, n_test=20)

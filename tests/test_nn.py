@@ -1,4 +1,3 @@
-import json
 import os
 
 import numpy as np
@@ -485,18 +484,19 @@ class TestCheckpoint:
             '"meta": {"phase": "adapted", "seed": 0}, "split_shape": [256]}')
         assert nn.load_checkpoint(path)[0].param_bytes() == net.param_bytes()
 
-    def test_unknown_layer_kind(self, tmp_path):
-        # a CNN checkpoint written with a flatten layer before the Linear
-        path = tmp_path / "old.npz"
-        nn.save_checkpoint(nn.build_cnn(seed=0), path)
-        with np.load(path) as stored:
-            arrays = dict(stored)
-        structure = json.loads(str(arrays["structure"]))
-        structure["blocks"]["n2"].insert(6, {"kind": "flatten", "frozen": False})
-        arrays["structure"] = np.array(json.dumps(structure, sort_keys=True))
-        np.savez(path, **arrays)
-        with pytest.raises(nn.NetworkError, match="unknown layer kind 'flatten'"):
+    def test_unknown_layer_kind(self, unbuildable_checkpoint):
+        path = unbuildable_checkpoint("flatten")
+        with pytest.raises(nn.NetworkError,
+                           match="unknown layer kind 'flatten'") as err:
             nn.load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_array_shape_mismatch(self, unbuildable_checkpoint):
+        path = unbuildable_checkpoint("shape")
+        with pytest.raises(nn.NetworkError,
+                           match=r"array n2\.6\.0 has shape \(10, 8\)") as err:
+            nn.load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("read", [nn.load_checkpoint, nn.checkpoint_meta],
                              ids=["load", "meta"])
