@@ -97,11 +97,10 @@ def _write_pair(out_dir, stem, ds):
 
 
 def _load_prepared(data_dir, stem, name, split):
-    images = data.read_idx(os.path.join(data_dir, f"{stem}-images.idx"))
-    labels = data.read_idx(os.path.join(data_dir, f"{stem}-labels.idx"),
-                           rescale=False).astype(np.int64)
-    processed = data.preprocess(images[:, None, :, :])
-    return data.Dataset(images=processed, labels=labels, name=name, split=split)
+    raw = data.load_idx_dataset(os.path.join(data_dir, f"{stem}-images.idx"),
+                                os.path.join(data_dir, f"{stem}-labels.idx"),
+                                name, split)
+    return dataclasses.replace(raw, images=data.preprocess(raw.images))
 
 
 def _load_bundle(data_dir, target_dir=None, target_train_stem="target-train"):
@@ -191,27 +190,26 @@ def cmd_train_source(args):
 
 
 def cmd_adapt(args):
+    # the LRS-DAG cell of `reproduce`, started from the given checkpoint;
+    # only the splits the objective reads are loaded (CLS reads no source)
     cfg = _load_config(args)
     net, _ = nn.load_checkpoint(args.checkpoint)
-    target_train = _load_prepared(args.data_dir, "target-train", "target",
-                                  "train")
+    reads = engine.METHODS["lrsdag"].reads(cfg)
+    bundle = engine.DomainData(**{
+        name: _load_prepared(args.data_dir, name.replace("_", "-"),
+                             *name.split("_")) if name in reads else None
+        for name in engine.SPLITS})
     run_dir = _run_dir(args)
     os.makedirs(run_dir, exist_ok=True)
-    loss = losses.LOSSES[cfg.loss]
-    sampler = None
-    if loss.needs_sampler:
-        source_train = _load_prepared(args.data_dir, "source-train", "source",
-                                      "train")
-        sampler = engine.source_sampler(evaluate.features(net, source_train),
-                                        cfg, cfg.seed)
-    _, history = engine.adapt(net, target_train, sampler, cfg, seed=cfg.seed)
+    net, history = engine._fit(bundle, cfg, "lrsdag", cfg.seed,
+                               engine.Trial(net, bundle, reads))
     adapted = os.path.join(run_dir, "adapted.npz")
     nn.save_checkpoint(net, adapted,
                        meta={"phase": "adapted", "loss": cfg.loss,
                              "sampling": cfg.sampling, "seed": cfg.seed})
     engine._write_loss_csv(os.path.join(run_dir, "adapt-loss.csv"), history)
     config_file.write_resolved(cfg, os.path.join(run_dir, "config-resolved.txt"))
-    print(f"adapted with {loss.display}/{cfg.sampling} for "
+    print(f"adapted with {losses.LOSSES[cfg.loss].display}/{cfg.sampling} for "
           f"{len(history)} epochs; checkpoint at {adapted}")
     return 0
 
@@ -284,6 +282,9 @@ def cmd_reproduce(args):
 
 
 def cmd_export_embeddings(args):
+    if args.cap is not None and args.cap < 1:
+        raise UsageError(f"export-embeddings: --cap must be at least 1, "
+                         f"got {args.cap}")
     net, _ = nn.load_checkpoint(args.checkpoint)
     stem = "target-train" if args.split == "train" else "target-test"
     source = _load_prepared(args.data_dir, f"source-{args.split}", "source",

@@ -261,14 +261,6 @@ def adapt(net, target_train, sampler, cfg, seed=None):
     return net, history
 
 
-def source_sampler(source_features, cfg, seed):
-    """The cfg.sampling sampler `adapt` draws reference N1 features from,
-    over the Features of the source training set."""
-    feats = source_features.images.reshape(len(source_features), -1)
-    return sampling.make_sampler(cfg.sampling, feats,
-                                 derive_rng(seed, "sampler", cfg.sampling))
-
-
 def _pretrain(source_train, cfg, seed, checkpoint_path=None):
     """Phase 1 from a fresh model, saved to `checkpoint_path` if given;
     returns (net, loss_history)."""
@@ -315,8 +307,12 @@ class Trial:
 
 
 def _lrsdag_step(net, bundle, cfg, seed):
-    sampler = (source_sampler(bundle.source_train, cfg, seed)
-               if losses.LOSSES[cfg.loss].needs_sampler else None)
+    # a loss that aligns to the source draws its reference rows from f(S)
+    sampler = None
+    if losses.LOSSES[cfg.loss].needs_sampler:
+        feats = bundle.source_train.images
+        sampler = sampling.make_sampler(cfg.sampling, feats.reshape(len(feats), -1),
+                                        derive_rng(seed, "sampler", cfg.sampling))
     return adapt(net, bundle.target_train, sampler, cfg, seed=seed)
 
 
@@ -482,10 +478,11 @@ def grid_search(lrs, weight_decays, bundle, val, cfg, method="lrsdag",
 
     Ties break toward the lower learning rate, then the lower decay.
     With `pretrained_path` every candidate starts from that phase-1
-    checkpoint, which must exist; without it each candidate trains
-    phase 1 under its own lr and decay.  A `pretrained_path` with a
-    method that does not start from phase 1 (`target_trained`) raises
-    ConfigError before any training.
+    checkpoint, which must exist: one Trial, loaded and run through N1
+    once, serves them all.  Without it each candidate trains phase 1
+    under its own lr and decay.  A `pretrained_path` with a method that
+    does not start from phase 1 (`target_trained`) raises ConfigError
+    before any training.
     """
     if not lrs or not weight_decays:
         raise ConfigError("grid must contain at least one lr and one weight_decay")
@@ -493,12 +490,13 @@ def grid_search(lrs, weight_decays, bundle, val, cfg, method="lrsdag",
     if pretrained_path is not None and not entry.pretrained:
         raise ConfigError(f"--checkpoint does not apply to method {method}, "
                           "which does not start from a phase-1 model")
-    best_key, best_cfg = None, None
+    best_key, best_cfg, trial = None, None, None
     for lr in lrs:
         for wd in weight_decays:
             cand = replace(cfg, lr=float(lr), weight_decay=float(wd))
-            trial = (Trial.start(bundle, cand, cand.seed, pretrained_path,
-                                 entry.reads(cand)) if entry.pretrained else None)
+            if entry.pretrained and (trial is None or pretrained_path is None):
+                trial = Trial.start(bundle, cand, cand.seed, pretrained_path,
+                                    entry.reads(cand))
             net, _ = _fit(bundle, cand, method, cand.seed, trial)
             score = evaluate.accuracy(net, val,
                                       use_encoder=net.encoder is not None)

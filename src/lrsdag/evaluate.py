@@ -72,15 +72,11 @@ def features(net, ds):
                     ds.name, ds.split)
 
 
-def feature_matrix(net, ds, through_encoder=False):
-    """Split features over a dataset, flattened to N x k: f(x), or with
-    `through_encoder` the h(f(x)) that `Network.head` feeds to N2."""
+def feature_matrix(net, ds):
+    """f(x) over a dataset, flattened to N x k."""
     chunks = [np.zeros((0, net.split_dim))]
     for images, labels in data.batches(ds, BATCH_SIZE):
-        feats = net.forward_features(images)
-        if through_encoder:
-            feats, _ = net.head(feats, use_encoder=True)
-        chunks.append(feats.reshape(len(labels), -1))
+        chunks.append(net.forward_features(images).reshape(len(labels), -1))
     return np.concatenate(chunks)
 
 
@@ -148,18 +144,22 @@ def evaluate_pair(net, source_test, target_test, metadata=None):
                       metadata=dict(metadata or {}))
 
 
-def _write_feature_csv(path, features, labels):
+def _write_feature_csv(out_dir, name, features, labels):
     lines = []
     for label, row in zip(labels, features):
         lines.append(",".join([str(int(label))] + [f"{v:.12g}" for v in row]))
+    path = os.path.join(out_dir, f"{name}.csv")
     data.atomic_write_text(path, "\n".join(lines) + "\n")
+    return path
 
 
 def export_embeddings(net, source_ds, target_ds, out_dir, cap=None, seed=0):
     """Write fS/fT (and hfT when an encoder is attached) feature CSVs.
 
     Each row is the label followed by the flattened split features at 12
-    significant digits.  With a cap, rows are a stratified subset.
+    significant digits.  With a cap, rows are a stratified subset.  N1
+    runs once over each set; hfT is the encoder's output h(f(x)) on the
+    rows of fT, in the same batches.
     """
     os.makedirs(out_dir, exist_ok=True)
 
@@ -168,21 +168,15 @@ def export_embeddings(net, source_ds, target_ds, out_dir, cap=None, seed=0):
             return ds
         return data.subsample_labeled(ds, cap / len(ds), seed)
 
-    source = clip(source_ds)
-    target = clip(target_ds)
-    paths = {}
-    fs_path = os.path.join(out_dir, "fS.csv")
-    _write_feature_csv(fs_path, feature_matrix(net, source), source.labels)
-    paths["fS"] = fs_path
-    ft_path = os.path.join(out_dir, "fT.csv")
-    _write_feature_csv(ft_path, feature_matrix(net, target), target.labels)
-    paths["fT"] = ft_path
+    source, target = clip(source_ds), features(net, clip(target_ds))
+    rows = {"fS": (feature_matrix(net, source), source.labels),
+            "fT": (target.images.reshape(len(target), net.split_dim), target.labels)}
     if net.encoder is not None:
-        hft_path = os.path.join(out_dir, "hfT.csv")
-        _write_feature_csv(hft_path, feature_matrix(net, target, through_encoder=True),
-                           target.labels)
-        paths["hfT"] = hft_path
-    return paths
+        hft = [np.zeros((0, net.split_dim))] + [
+            net.head(feats, use_encoder=True)[0].reshape(len(labels), -1)
+            for feats, labels in data.batches(target, BATCH_SIZE)]
+        rows["hfT"] = (np.concatenate(hft), target.labels)
+    return {name: _write_feature_csv(out_dir, name, *r) for name, r in rows.items()}
 
 
 def render_report(records):

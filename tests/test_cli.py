@@ -11,11 +11,21 @@ import os
 import numpy as np
 import pytest
 
-from lrsdag import cli, config, data, engine, evaluate, nn
+from lrsdag import cli, config, data, engine, evaluate, losses, nn, sampling
+from lrsdag.seeding import derive_rng
 
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def read_prepared(data_dir, stem, name, split):
+    """A prepared split read straight from its two IDX files."""
+    images = data.read_idx(os.path.join(data_dir, f"{stem}-images.idx"))
+    labels = data.read_idx(os.path.join(data_dir, f"{stem}-labels.idx"),
+                           rescale=False).astype(np.int64)
+    return data.Dataset(images=data.preprocess(images[:, None]), labels=labels,
+                        name=name, split=split)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +142,17 @@ class TestPrepareData:
         assert not raw.exists() and not out.exists()
 
 
+    @pytest.mark.parametrize("stem", ["source-train", "target-val"])
+    def test_load_prepared_matches_idx_files(self, prep_dir, stem):
+        name, split = stem.split("-")
+        got = cli._load_prepared(prep_dir, stem, name, split)
+        want = read_prepared(prep_dir, stem, name, split)
+        assert (got.name, got.split) == (name, split)
+        assert got.images.tobytes() == want.images.tobytes()
+        assert got.labels.dtype == want.labels.dtype
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+
 class TestTrainSource:
     def test_artifacts(self, source_run, tiny_cfg_path):
         assert os.path.exists(os.path.join(source_run, "source.npz"))
@@ -170,6 +191,63 @@ class TestAdaptEvaluate:
         assert rc == 0
         report = open(os.path.join(run_dir, "report.csv")).read()
         assert "source_without" in report
+
+    @pytest.mark.parametrize("loss, strategy", [
+        ("cls", "indirect"), ("cls_kl", "indirect"), ("coral", "random")])
+    def test_adapt_equals_hand_wired_reference(self, prep_dir, source_run,
+                                               tmp_path, loss, strategy):
+        cfg_path = tmp_path / "adapt.cfg"
+        cfg_path.write_text("model = fcn\nmax_adapt_epochs = 3\n"
+                            "batch_size = 4\nstop_threshold = 1e-9\n"
+                            f"seed = 5\nloss = {loss}\nsampling = {strategy}\n")
+        ckpt = os.path.join(source_run, "source.npz")
+        run_dir = tmp_path / "run"
+        assert run("adapt", "--config", str(cfg_path), "--data-dir", prep_dir,
+                   "--checkpoint", ckpt, "--run-dir", str(run_dir)) == 0
+
+        # the reference wires phase 2 by hand on the loaded network
+        cfg = config.load(str(cfg_path))
+        net, _ = nn.load_checkpoint(ckpt)
+        sampler = None
+        if losses.LOSSES[loss].needs_sampler:
+            source = read_prepared(prep_dir, "source-train", "source", "train")
+            sampler = sampling.make_sampler(
+                strategy, evaluate.feature_matrix(net, source),
+                derive_rng(cfg.seed, "sampler", strategy))
+        target = read_prepared(prep_dir, "target-train", "target", "train")
+        _, history = engine.adapt(net, target, sampler, cfg, seed=cfg.seed)
+        want = tmp_path / "want"
+        nn.save_checkpoint(net, want / "adapted.npz",
+                           meta={"phase": "adapted", "loss": loss,
+                                 "sampling": strategy, "seed": cfg.seed})
+        engine._write_loss_csv(str(want / "adapt-loss.csv"), history)
+
+        assert len(history) == 3
+        with np.load(run_dir / "adapted.npz") as got, \
+                np.load(want / "adapted.npz") as ref:
+            assert sorted(got.files) == sorted(ref.files)
+            for key in ref.files:
+                assert got[key].dtype == ref[key].dtype, key
+                assert got[key].tobytes() == ref[key].tobytes(), key
+        assert ((run_dir / "adapt-loss.csv").read_bytes()
+                == (want / "adapt-loss.csv").read_bytes())
+
+    def test_adapt_cls_reads_no_source_split(self, prep_dir, source_run,
+                                             tmp_path):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for name in ("target-train-images.idx", "target-train-labels.idx"):
+            (data_dir / name).write_bytes(
+                open(os.path.join(prep_dir, name), "rb").read())
+        cfg_path = tmp_path / "cls.cfg"
+        cfg_path.write_text("model = fcn\nmax_adapt_epochs = 2\n"
+                            "batch_size = 16\nloss = cls\n")
+        run_dir = tmp_path / "run"
+        assert run("adapt", "--config", str(cfg_path), "--data-dir",
+                   str(data_dir), "--checkpoint",
+                   os.path.join(source_run, "source.npz"),
+                   "--run-dir", str(run_dir)) == 0
+        assert (run_dir / "adapted.npz").exists()
 
     @pytest.mark.parametrize("case", ["n2_ulp", "n1_signed_zero"])
     def test_frozen_change_exits_2_without_checkpoint(
@@ -318,6 +396,18 @@ class TestExportEmbeddings:
         for name in ("fS.csv", "fT.csv", "hfT.csv"):
             rows = open(os.path.join(out, name)).read().strip().splitlines()
             assert 0 < len(rows) - 1 <= 10
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_exits_1(self, prep_dir, source_run, tmp_path,
+                                   capsys, cap):
+        out = tmp_path / "emb"
+        rc = run("export-embeddings", "--checkpoint",
+                 os.path.join(source_run, "source.npz"), "--data-dir", prep_dir,
+                 "--out-dir", str(out), "--cap", cap)
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--cap" in err[0], err
+        assert not out.exists()
 
 
 class TestExitCodes:

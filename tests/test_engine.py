@@ -404,6 +404,34 @@ class TestGridSearch:
                                     pretrained_path=path)
         assert first == second
 
+    def test_checkpoint_loaded_and_run_through_n1_once(self, pretrained,
+                                                       monkeypatch):
+        # lr and weight decay change neither the checkpoint nor f(x), so
+        # every candidate shares one load and one N1 pass per training
+        # split; only the validation set is scored by each candidate
+        path, _ = pretrained
+        bundle = blob_bundle(n_train=40)
+        val = blob_dataset(30, seed=25, shift=0.6, split="val")
+        loads, rows = [], []
+        orig_load, orig_features = nn.load_checkpoint, nn.Network.forward_features
+
+        def load(path):
+            loads.append(path)
+            return orig_load(path)
+
+        def forward_features(net, batch):
+            if all(layer.frozen for layer in net.n1):
+                rows.append(len(batch))
+            return orig_features(net, batch)
+
+        monkeypatch.setattr(nn, "load_checkpoint", load)
+        monkeypatch.setattr(nn.Network, "forward_features", forward_features)
+        engine.grid_search([1e-3, 1e-2], [0.0, 1e-4], bundle, val,
+                           quick_cfg(loss="cls_kl", max_adapt_epochs=1),
+                           pretrained_path=path)
+        assert loads == [path]
+        assert sum(rows) == 40 + 40 + 4 * 30
+
     def test_missing_checkpoint_raises_and_writes_nothing(self, tmp_path):
         # nothing may be trained into the path under the first candidate's
         # lr and then shared by the later candidates

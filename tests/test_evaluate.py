@@ -142,6 +142,39 @@ class TestExportEmbeddings:
         exact = evaluate.feature_matrix(net, source)
         np.testing.assert_allclose(loaded, exact, rtol=1e-11)
 
+    def test_n1_runs_once_per_set(self, tmp_path, monkeypatch):
+        net = nn.build_fcn(seed=9)
+        nn.build_encoder(net, seed=9)
+        rows = []
+        orig = nn.Network.forward_features
+        monkeypatch.setattr(nn.Network, "forward_features", lambda net, batch:
+                            rows.append(len(batch)) or orig(net, batch))
+        source, target = balanced_dataset(30), balanced_dataset(20)
+        paths = evaluate.export_embeddings(net, source, target, tmp_path)
+        assert "hfT" in paths
+        assert sum(rows) == len(source) + len(target)
+
+    @pytest.mark.parametrize("n_target", [0, 600])
+    def test_bytes_equal_per_batch_reference(self, tmp_path, n_target):
+        # fT and hfT of a target set longer than one 512-row batch, and of
+        # an empty one, which writes a lone newline per file
+        net = nn.build_fcn(seed=10)
+        nn.build_encoder(net, seed=10, noise_scale=0.1)
+        source, target = balanced_dataset(20), balanced_dataset(n_target)
+        paths = evaluate.export_embeddings(net, source, target, tmp_path)
+        ft, hft = [], []
+        for start in range(0, n_target, 512):
+            feats = net.forward_features(target.images[start:start + 512])
+            ft.extend(feats.reshape(len(feats), -1))
+            for layer in net.encoder:
+                feats = layer.forward(feats)
+            hft.extend(feats.reshape(len(feats), -1))
+        for name, want in (("fT", ft), ("hfT", hft)):
+            text = "\n".join(",".join([str(int(label))] + [f"{v:.12g}" for v in row])
+                             for label, row in zip(target.labels, want)) + "\n"
+            # lists, so that a mismatch is reported without diffing the texts
+            assert open(paths[name]).read().split("\n") == text.split("\n"), name
+
     def test_cap_is_stratified(self, tmp_path):
         net = nn.build_fcn(seed=8)
         source, target = balanced_dataset(40), balanced_dataset(40)
