@@ -479,8 +479,10 @@ def grid_search(lrs, weight_decays, bundle, val, cfg, method="lrsdag",
     Ties break toward the lower learning rate, then the lower decay.
     With `pretrained_path` every candidate starts from that phase-1
     checkpoint, which must exist: one Trial, loaded and run through N1
-    once, serves them all.  Without it each candidate trains phase 1
-    under its own lr and decay.  A `pretrained_path` with a method that
+    once, serves them all, and the validation set's N1 features are
+    computed once with it and score every candidate.  Without it each
+    candidate trains phase 1 under its own lr and decay, and is scored
+    through that phase 1's N1.  A `pretrained_path` with a method that
     does not start from phase 1 (`target_trained`) raises ConfigError
     before any training.
     """
@@ -490,15 +492,17 @@ def grid_search(lrs, weight_decays, bundle, val, cfg, method="lrsdag",
     if pretrained_path is not None and not entry.pretrained:
         raise ConfigError(f"--checkpoint does not apply to method {method}, "
                           "which does not start from a phase-1 model")
-    best_key, best_cfg, trial = None, None, None
+    best_key, best_cfg, trial, scored = None, None, None, val
     for lr in lrs:
         for wd in weight_decays:
             cand = replace(cfg, lr=float(lr), weight_decay=float(wd))
             if entry.pretrained and (trial is None or pretrained_path is None):
                 trial = Trial.start(bundle, cand, cand.seed, pretrained_path,
                                     entry.reads(cand))
+                # N1 stays frozen after phase 1, so f(val) is the trial's
+                scored = evaluate.features(trial.network(), val)
             net, _ = _fit(bundle, cand, method, cand.seed, trial)
-            score = evaluate.accuracy(net, val,
+            score = evaluate.accuracy(net, scored,
                                       use_encoder=net.encoder is not None)
             key = (-score, lr, wd)
             if best_key is None or key < best_key:

@@ -73,10 +73,11 @@ def features(net, ds):
 
 
 def feature_matrix(net, ds):
-    """f(x) over a dataset, flattened to N x k."""
+    """f(x) over a dataset, flattened to N x k; no layer keeps a cache."""
     chunks = [np.zeros((0, net.split_dim))]
-    for images, labels in data.batches(ds, BATCH_SIZE):
-        chunks.append(net.forward_features(images).reshape(len(labels), -1))
+    with net.inference():
+        for images, labels in data.batches(ds, BATCH_SIZE):
+            chunks.append(net.forward_features(images).reshape(len(labels), -1))
     return np.concatenate(chunks)
 
 
@@ -110,16 +111,17 @@ class EvalReport:
 
 def _shared_n1_predictions(net, ds, tags):
     """Predicted classes per tag ("without"/"with" the encoder), running
-    N1 once per batch for all tags, or not at all over Features.  A
-    function of its own so that one domain's features are freed before
-    the next domain's N1 pass, which sets the evaluation's peak memory."""
+    N1 once per batch for all tags, or not at all over Features, and
+    keeping no layer cache.  A function of its own so that one domain's
+    features are freed before the next domain's N1 pass."""
     n1 = (lambda x: x) if isinstance(ds, Features) else net.forward_features
     preds = {tag: [np.zeros(0, dtype=np.int64)] for tag in tags}
-    for images, _ in data.batches(ds, BATCH_SIZE):
-        feats = n1(images)
-        for tag in tags:
-            _, logits = net.head(feats, use_encoder=tag == "with")
-            preds[tag].append(np.argmax(logits, axis=1))
+    with net.inference():
+        for images, _ in data.batches(ds, BATCH_SIZE):
+            feats = n1(images)
+            for tag in tags:
+                _, logits = net.head(feats, use_encoder=tag == "with")
+                preds[tag].append(np.argmax(logits, axis=1))
     return {tag: np.concatenate(chunks) for tag, chunks in preds.items()}
 
 
@@ -172,9 +174,10 @@ def export_embeddings(net, source_ds, target_ds, out_dir, cap=None, seed=0):
     rows = {"fS": (feature_matrix(net, source), source.labels),
             "fT": (target.images.reshape(len(target), net.split_dim), target.labels)}
     if net.encoder is not None:
-        hft = [np.zeros((0, net.split_dim))] + [
-            net.head(feats, use_encoder=True)[0].reshape(len(labels), -1)
-            for feats, labels in data.batches(target, BATCH_SIZE)]
+        with net.inference():
+            hft = [np.zeros((0, net.split_dim))] + [
+                net.head(feats, use_encoder=True)[0].reshape(len(labels), -1)
+                for feats, labels in data.batches(target, BATCH_SIZE)]
         rows["hfT"] = (np.concatenate(hft), target.labels)
     return {name: _write_feature_csv(out_dir, name, *r) for name, r in rows.items()}
 

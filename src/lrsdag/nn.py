@@ -19,6 +19,9 @@ from .tensor_core import check_finite
 
 BLOCK_NAMES = ("n1", "n2", "encoder")
 
+# images unfolded at a time by a conv forward that keeps no im2col columns
+CONV_CHUNK = 32
+
 
 class NetworkError(Exception):
     pass
@@ -59,11 +62,20 @@ class Layer:
     def params(self):
         return []
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
+        """The layer's output; with `keep` False no backward will follow,
+        so the layer keeps nothing and drops what an earlier forward kept."""
         raise NotImplementedError
 
     def backward(self, dout):
         raise NotImplementedError
+
+    def _kept(self, value):
+        """A cache of the last forward, which `backward` is about to read."""
+        if value is None:
+            raise NetworkError(f"{type(self).__name__}.backward with no forward "
+                               "that kept what it reads")
+        return value
 
     def descriptor(self):
         d = {"kind": self.kind, "frozen": self.frozen}
@@ -98,20 +110,22 @@ class Linear(Layer):
     def params(self):
         return [self.weight, self.bias]
 
-    def forward(self, x):
-        self._in_shape = x.shape
+    def forward(self, x, keep=True):
+        # the input is read only for the weight gradient
+        self._in_shape = x.shape if keep else None
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
-        self._x = x
+        self._x = x if keep and not self.frozen else None
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, dout):
         """Input gradient; weight gradients accumulate only when trainable."""
+        in_shape = self._kept(self._in_shape)
         if not self.frozen:
-            self.weight.grad += dout.T @ self._x
+            self.weight.grad += dout.T @ self._kept(self._x)
             self.bias.grad += dout.sum(axis=0)
         dx = dout @ self.weight.value
-        return dx.reshape(self._in_shape)
+        return dx.reshape(in_shape)
 
 
 class Conv2d(Layer):
@@ -138,33 +152,51 @@ class Conv2d(Layer):
     def params(self):
         return [self.weight, self.bias]
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
+        """The layer's output.  The im2col columns are read only for the
+        weight gradient: a trainable layer keeps them for its backward;
+        otherwise the batch is unfolded CONV_CHUNK images at a time."""
         from .tensor_core import im2col
 
-        self._x_shape = x.shape
-        cols, h_out, w_out = im2col(x, self.kh, self.kw, self.stride, self.padding)
-        self._cols = cols
+        self._x_shape = x.shape if keep else None
+        self._cols = None
+        weight = self.weight.value.reshape(self.c_out, -1)
         # one GEMM per image: folded into one (K, B*Ho*Wo) product, an image's
         # output would round differently with the batch size
-        out = self.weight.value.reshape(self.c_out, -1) @ cols
+        if keep and not self.frozen:
+            self._cols, h_out, w_out = im2col(x, self.kh, self.kw, self.stride,
+                                              self.padding)
+            out = weight @ self._cols
+        else:
+            h_out = (x.shape[2] + 2 * self.padding - self.kh) // self.stride + 1
+            w_out = (x.shape[3] + 2 * self.padding - self.kw) // self.stride + 1
+            out = np.empty((x.shape[0], self.c_out, h_out * w_out))
+            for start in range(0, x.shape[0], CONV_CHUNK):
+                stop = start + CONV_CHUNK
+                cols, _, _ = im2col(x[start:stop], self.kh, self.kw, self.stride,
+                                    self.padding)
+                np.matmul(weight, cols, out=out[start:stop])
         out = out.reshape(x.shape[0], self.c_out, h_out, w_out)
-        return out + self.bias.value[None, :, None, None]
+        out += self.bias.value[None, :, None, None]
+        return out
 
     def backward(self, dout):
         """Input gradient; weight gradients accumulate only when trainable."""
         from .tensor_core import col2im
 
+        x_shape = self._kept(self._x_shape)
         dmat = dout.reshape(dout.shape[0], self.c_out, -1)
         if not self.frozen:
             # one GEMM over all (image, pixel) pairs, image-major; moving the
             # batch axis copies whole pixel rows, unlike a (B*Ho*Wo, K) transpose
-            k = self._cols.shape[1]
+            cols = self._kept(self._cols)
+            k = cols.shape[1]
             dw = (dmat.transpose(1, 0, 2).reshape(self.c_out, -1)
-                  @ self._cols.transpose(1, 0, 2).reshape(k, -1).T)
+                  @ cols.transpose(1, 0, 2).reshape(k, -1).T)
             self.weight.grad += dw.reshape(self.weight.value.shape)
             self.bias.grad += dout.sum(axis=(0, 2, 3))
         dcols = self.weight.value.reshape(self.c_out, -1).T @ dmat
-        return col2im(dcols, self._x_shape, self.kh, self.kw, self.stride, self.padding)
+        return col2im(dcols, x_shape, self.kh, self.kw, self.stride, self.padding)
 
 
 class ReLU(Layer):
@@ -174,12 +206,13 @@ class ReLU(Layer):
         super().__init__()
         self._mask = None
 
-    def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+    def forward(self, x, keep=True):
+        mask = x > 0
+        self._mask = mask if keep else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, dout):
-        return np.where(self._mask, dout, 0.0)
+        return np.where(self._kept(self._mask), dout, 0.0)
 
 
 LAYERS = {cls.kind: cls for cls in (Linear, Conv2d, ReLU)}
@@ -208,6 +241,7 @@ class Network:
         self.n2 = list(n2)
         self.encoder = list(encoder) if encoder is not None else None
         self.split_shape = tuple(split_shape)
+        self._keep = True
 
     @property
     def split_dim(self):
@@ -222,6 +256,17 @@ class Network:
     def layers(self, use_encoder=False):
         enc = self.encoder if use_encoder else []
         return self.n1 + list(enc or []) + self.n2
+
+    @contextlib.contextmanager
+    def inference(self):
+        """Forward passes inside keep no backward cache: no backward will
+        read one, so each layer drops what an earlier forward kept, and a
+        conv unfolds its batch CONV_CHUNK images at a time."""
+        keep, self._keep = self._keep, False
+        try:
+            yield
+        finally:
+            self._keep = keep
 
     def forward(self, batch, use_encoder=False):
         """Run the stack, `head` over `forward_features`; returns
@@ -239,10 +284,10 @@ class Network:
             raise EncoderMissing("use_encoder=True on a network without an encoder")
         if use_encoder:
             for layer in self.encoder:
-                x = layer.forward(x)
+                x = layer.forward(x, self._keep)
         split = x
         for layer in self.n2:
-            x = layer.forward(x)
+            x = layer.forward(x, self._keep)
         check_finite(x, "network forward")
         return split, x
 
@@ -250,7 +295,7 @@ class Network:
         """n1 output only (the feature map f)."""
         x = np.asarray(batch, dtype=np.float64)
         for layer in self.n1:
-            x = layer.forward(x)
+            x = layer.forward(x, self._keep)
         return x
 
     def backward(self, dlogits, use_encoder=False, split_grad=None):

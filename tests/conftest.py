@@ -102,3 +102,17 @@ def unbuildable_checkpoint(tmp_path):
         return str(path)
 
     return make
+
+
+@pytest.fixture
+def held_caches():
+    """`held(net)` lists "<block>.<index>.<cache>" for every backward
+    cache (`_cols`, `_mask`, `_x`) a layer of `net` still holds."""
+    def held(net):
+        return [f"{name}.{i}.{attr}"
+                for name, layers in net.blocks().items()
+                for i, layer in enumerate(layers)
+                for attr in ("_cols", "_mask", "_x")
+                if getattr(layer, attr, None) is not None]
+
+    return held

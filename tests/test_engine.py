@@ -196,6 +196,31 @@ class TestAdapt:
         assert not any(layer.frozen for layer in net.layers())
 
 
+class TestForwardCaches:
+    """No layer cache outlives a pass that no backward follows, and frozen
+    layers keep no columns or inputs for a weight gradient they skip."""
+
+    def test_trial_keeps_no_layer_cache(self, held_caches):
+        bundle = blob_bundle(n_train=20, n_test=10)
+        net = engine.build_model("cnn", seed=3)
+        net.forward_features(bundle.source_train.images[:4])
+        assert held_caches(net)
+        engine.Trial(net, bundle, engine.SPLITS)
+        assert held_caches(net) == []
+
+    def test_adapt_step_caches_only_what_backward_reads(self, held_caches):
+        net = engine.build_model("cnn", seed=4)
+        engine.adapt(net, blob_dataset(8, seed=5), None,
+                     quick_cfg(loss="cls", batch_size=8, max_adapt_epochs=1),
+                     seed=0)
+        # the encoder's convs keep their columns for the weight gradient;
+        # the frozen N2 layers keep only ReLU masks for the input gradient;
+        # N1 ran once, outside the steps, over the whole set
+        assert held_caches(net) == [
+            "n2.1._mask", "n2.3._mask", "n2.5._mask",
+            "encoder.0._cols", "encoder.1._mask", "encoder.2._cols", "encoder.3._mask"]
+
+
 def reference_adapt(net, ds, sampler, cfg, seed):
     """Phase 2 as a plain per-batch loop: the whole network, N1 included,
     runs forward on the images of every batch in every epoch."""
@@ -408,7 +433,7 @@ class TestGridSearch:
                                                        monkeypatch):
         # lr and weight decay change neither the checkpoint nor f(x), so
         # every candidate shares one load and one N1 pass per training
-        # split; only the validation set is scored by each candidate
+        # split and over the validation set
         path, _ = pretrained
         bundle = blob_bundle(n_train=40)
         val = blob_dataset(30, seed=25, shift=0.6, split="val")
@@ -430,7 +455,7 @@ class TestGridSearch:
                            quick_cfg(loss="cls_kl", max_adapt_epochs=1),
                            pretrained_path=path)
         assert loads == [path]
-        assert sum(rows) == 40 + 40 + 4 * 30
+        assert sum(rows) == 40 + 40 + 30
 
     def test_missing_checkpoint_raises_and_writes_nothing(self, tmp_path):
         # nothing may be trained into the path under the first candidate's

@@ -1,3 +1,6 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,9 @@ class StubNet:
     """Logits are the first ten flattened pixels; no encoder."""
 
     encoder = None
+
+    def inference(self):
+        return contextlib.nullcontext()
 
     def forward_features(self, batch):
         return np.asarray(batch).reshape(len(batch), -1)
@@ -104,6 +110,36 @@ class TestEvaluatePair:
                 want = evaluate.confusion_matrix(net, ds, use_encoder=tag == "with")
                 np.testing.assert_array_equal(report.confusion[f"{domain}_{tag}"], want)
                 assert report.n_examples[f"{domain}_{tag}"] == len(ds)
+
+    def test_keeps_no_layer_cache(self, held_caches):
+        net = nn.build_cnn(seed=5)
+        nn.build_encoder(net, seed=5)
+        ds = balanced_dataset(12)
+        net.forward(ds.images, use_encoder=True)
+        assert held_caches(net)
+        evaluate.evaluate_pair(net, ds, ds)
+        assert held_caches(net) == []
+        net.forward(ds.images, use_encoder=True)
+        evaluate.feature_matrix(net, ds)
+        assert [cache for cache in held_caches(net) if cache.startswith("n1.")] == []
+        evaluate.predictions(net, ds, use_encoder=True)
+        assert held_caches(net) == []
+
+    def test_cnn_peak_memory(self):
+        # 150 images a domain in one 512-row batch: every conv unfolds
+        # CONV_CHUNK images at a time and keeps nothing, so the peak is
+        # about 61 MB; caching each layer's columns for the whole batch
+        # reached 333 MB, and kept 221 MB after the call
+        net = nn.build_cnn(seed=6)
+        source, target = balanced_dataset(150), balanced_dataset(150)
+        tracemalloc.start()
+        try:
+            evaluate.evaluate_pair(net, source, target)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * 2**20
+        assert held < 2**20
 
     def test_round_trip_dict(self):
         net = nn.build_fcn(seed=4)

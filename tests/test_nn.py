@@ -510,3 +510,97 @@ class TestCheckpoint:
     def test_missing_file_is_oserror(self, tmp_path, read):
         with pytest.raises(FileNotFoundError):
             read(tmp_path / "missing.npz")
+
+
+class TestForwardCaches:
+    """A forward keeps what a backward will read, and nothing else."""
+
+    LAYERS = [
+        ("linear", lambda: nn.Linear(48, 5, rng=np.random.default_rng(0)), (3, 3, 4, 4)),
+        ("conv", lambda: nn.Conv2d(3, 4, 3, 3, 2, 1, rng=np.random.default_rng(0)),
+         (3, 3, 6, 6)),
+        ("relu", nn.ReLU, (3, 3, 4, 4)),
+    ]
+
+    @pytest.mark.parametrize("name,factory,shape", LAYERS, ids=[c[0] for c in LAYERS])
+    def test_inference_forward_drops_earlier_cache(self, name, factory, shape):
+        layer = factory()
+        x = np.random.default_rng(1).normal(size=shape)
+        out = layer.forward(x)
+        layer.forward(x, keep=False)
+        # the columns, input or mask of the first batch are gone, so no
+        # backward can pair them with the second one
+        with pytest.raises(nn.NetworkError, match=type(layer).__name__):
+            layer.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize("name,factory,shape", LAYERS, ids=[c[0] for c in LAYERS])
+    def test_backward_without_forward(self, name, factory, shape):
+        layer = factory()
+        out_shape = factory().forward(np.zeros(shape)).shape
+        with pytest.raises(nn.NetworkError, match=type(layer).__name__):
+            layer.backward(np.ones(out_shape))
+
+    def test_frozen_layers_keep_only_the_input_shape(self):
+        x = np.random.default_rng(2).normal(size=(2, 3, 6, 6))
+        conv = nn.Conv2d(3, 4, 3, 3, 1, 1, rng=np.random.default_rng(3))
+        lin = nn.Linear(108, 5, rng=np.random.default_rng(4))
+        for layer in (conv, lin):
+            layer.forward(x)
+            layer.frozen = True
+            layer.forward(x)
+        assert conv._cols is None and conv._x_shape == x.shape
+        assert lin._x is None and lin._in_shape == x.shape
+        # unfrozen after a frozen forward, the weight gradient has no input
+        for layer, out_shape in ((conv, (2, 4, 6, 6)), (lin, (2, 5))):
+            layer.frozen = False
+            with pytest.raises(nn.NetworkError):
+                layer.backward(np.ones(out_shape))
+
+    def test_network_inference_keeps_nothing(self, held_caches):
+        net = nn.build_cnn(seed=0)
+        nn.build_encoder(net, seed=1)
+        x = np.random.default_rng(5).normal(size=(2, 1, 32, 32))
+        net.forward(x, use_encoder=True)
+        assert len(held_caches(net)) == 15  # 7 convs, 7 ReLUs, 1 Linear
+        with net.inference():
+            with net.inference():
+                pass
+            net.forward(x, use_encoder=True)
+            assert held_caches(net) == []
+        net.forward(x)
+        assert "n2.6._x" in held_caches(net)
+
+
+class TestConvChunks:
+    """A conv forward that keeps no columns unfolds CONV_CHUNK images at a
+    time; each image's output is one GEMM either way."""
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 70])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_chunked_equals_caching_and_per_image(self, n, stride, padding):
+        rng = np.random.default_rng(n + 10 * stride + padding)
+        conv = nn.Conv2d(3, 5, 3, 3, stride, padding, rng=rng)
+        conv.bias.value[:] = rng.normal(size=5)
+        x = rng.normal(size=(n, 3, 9, 9))
+        cached = conv.forward(x)
+        chunked = conv.forward(x, keep=False)
+        h = (9 + 2 * padding - 3) // stride + 1
+        assert chunked.shape == cached.shape == (n, 5, h, h)
+        assert chunked.tobytes() == cached.tobytes()
+        for i in range(n):
+            assert chunked[i].tobytes() == conv.forward(x[i:i + 1])[0].tobytes(), i
+
+    def test_unfolds_chunk_images_at_a_time(self, monkeypatch):
+        seen = []
+        orig = tc.im2col
+        monkeypatch.setattr(tc, "im2col", lambda x, *a: seen.append(len(x)) or orig(x, *a))
+        conv = nn.Conv2d(1, 2, 3, 3, 1, 1, rng=np.random.default_rng(0))
+        x = np.zeros((2 * nn.CONV_CHUNK + 6, 1, 5, 5))
+        conv.forward(x, keep=False)
+        assert seen == [nn.CONV_CHUNK, nn.CONV_CHUNK, 6]
+        conv.frozen = True
+        conv.forward(x)
+        assert seen[3:] == [nn.CONV_CHUNK, nn.CONV_CHUNK, 6]
+        conv.frozen = False
+        conv.forward(x)
+        assert seen[6:] == [len(x)]
