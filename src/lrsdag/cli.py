@@ -46,7 +46,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _run_dir(args):
-    return args.run_dir or os.environ.get("LRSDAG_RUN_DIR") or "runs"
+    """The run directory, created if missing."""
+    run_dir = args.run_dir or os.environ.get("LRSDAG_RUN_DIR") or "runs"
+    os.makedirs(run_dir, exist_ok=True)
+    return run_dir
 
 
 def _load_config(args):
@@ -72,9 +75,11 @@ def _find_mnist(mnist_dir):
 
 
 def _parse_syn_params(args):
-    values = {"flip_prob": 0.5, "shear_max_deg": 15.0,
-              "brightness_lo": 0.7, "brightness_hi": 1.3,
-              "contrast_lo": 0.7, "contrast_hi": 1.3}
+    default = data.SynParams()
+    values = {"flip_prob": default.flip_prob,
+              "shear_max_deg": default.shear_max_deg}
+    for name in ("brightness", "contrast"):
+        values[f"{name}_lo"], values[f"{name}_hi"] = getattr(default, name)
     if args.syn_params_file:
         with open(args.syn_params_file, "r", encoding="utf-8") as fh:
             values.update(config_file.parse_assignments(
@@ -96,21 +101,24 @@ def _write_pair(out_dir, stem, ds):
     return [f"{stem}-images.idx", f"{stem}-labels.idx"]
 
 
-def _load_prepared(data_dir, stem, name, split):
+def _load_prepared(data_dir, name, stem=None):
+    """Split `name`, say "target_val" (domain "target", split "val"),
+    preprocessed, from the IDX pair `stem` (by default "target-val")."""
+    domain, split = name.split("_")
+    stem = stem or f"{domain}-{split}"
     raw = data.load_idx_dataset(os.path.join(data_dir, f"{stem}-images.idx"),
                                 os.path.join(data_dir, f"{stem}-labels.idx"),
-                                name, split)
+                                domain, split)
     return dataclasses.replace(raw, images=data.preprocess(raw.images))
 
 
-def _load_bundle(data_dir, target_dir=None, target_train_stem="target-train"):
+def _load_bundle(data_dir, target_dir=None, target_train_stem=None):
     target_dir = target_dir or data_dir
     return engine.DomainData(
-        source_train=_load_prepared(data_dir, "source-train", "source", "train"),
-        source_test=_load_prepared(data_dir, "source-test", "source", "test"),
-        target_train=_load_prepared(target_dir, target_train_stem, "target",
-                                    "train"),
-        target_test=_load_prepared(target_dir, "target-test", "target", "test"),
+        source_train=_load_prepared(data_dir, "source_train"),
+        source_test=_load_prepared(data_dir, "source_test"),
+        target_train=_load_prepared(target_dir, "target_train", target_train_stem),
+        target_test=_load_prepared(target_dir, "target_test"),
     )
 
 
@@ -175,10 +183,8 @@ def cmd_prepare_data(args):
 
 def cmd_train_source(args):
     cfg = _load_config(args)
-    source_train = _load_prepared(args.data_dir, "source-train", "source",
-                                  "train")
+    source_train = _load_prepared(args.data_dir, "source_train")
     run_dir = _run_dir(args)
-    os.makedirs(run_dir, exist_ok=True)
     checkpoint = os.path.join(run_dir, "source.npz")
     _, history = engine._pretrain(source_train, cfg, cfg.seed, checkpoint)
     engine._write_loss_csv(os.path.join(run_dir, "source-loss.csv"), history)
@@ -196,11 +202,9 @@ def cmd_adapt(args):
     net, _ = nn.load_checkpoint(args.checkpoint)
     reads = engine.METHODS["lrsdag"].reads(cfg)
     bundle = engine.DomainData(**{
-        name: _load_prepared(args.data_dir, name.replace("_", "-"),
-                             *name.split("_")) if name in reads else None
+        name: _load_prepared(args.data_dir, name) if name in reads else None
         for name in engine.SPLITS})
     run_dir = _run_dir(args)
-    os.makedirs(run_dir, exist_ok=True)
     net, history = engine._fit(bundle, cfg, "lrsdag", cfg.seed,
                                engine.Trial(net, bundle, reads))
     adapted = os.path.join(run_dir, "adapted.npz")
@@ -218,7 +222,6 @@ def cmd_baseline(args):
     cfg = _load_config(args)
     bundle = _load_bundle(args.data_dir)
     run_dir = _run_dir(args)
-    os.makedirs(run_dir, exist_ok=True)
     averaged, _ = engine.run_trials(bundle, cfg, method=args.kind)
     evaluate.write_report([averaged], run_dir)
     engine._save_record(os.path.join(run_dir, f"baseline-{args.kind}.json"),
@@ -234,12 +237,10 @@ def cmd_evaluate(args):
     net, meta = nn.load_checkpoint(args.checkpoint)
     bundle = _load_bundle(args.data_dir)
     run_dir = _run_dir(args)
-    os.makedirs(run_dir, exist_ok=True)
     report = evaluate.evaluate_pair(net, bundle.source_test, bundle.target_test)
     record = engine.RunRecord(method=str(meta.get("phase", "model")),
                               strategy=str(meta.get("sampling", "-")),
-                              loss_history=(), report=report, seeds={},
-                              config={}, wall_clock=0.0)
+                              report=report)
     evaluate.write_report([record], run_dir)
     for key in evaluate.CELLS:
         print(f"{key}: {report.accuracy[key]:.2f}")
@@ -249,12 +250,11 @@ def cmd_evaluate(args):
 def cmd_grid_search(args):
     cfg = _load_config(args)
     bundle = _load_bundle(args.data_dir, target_train_stem="target-tune")
-    val = _load_prepared(args.data_dir, "target-val", "target", "val")
+    val = _load_prepared(args.data_dir, "target_val")
     if len(val) == 0:
         raise data.DataError("validation split is empty; prepare data with a "
                              "larger corpus or validation fraction")
     run_dir = _run_dir(args)
-    os.makedirs(run_dir, exist_ok=True)
     lrs = [float(v) for v in args.lrs.split(",") if v]
     decays = [float(v) for v in args.weight_decays.split(",") if v]
     best = engine.grid_search(lrs, decays, bundle, val, cfg,
@@ -273,7 +273,6 @@ def cmd_reproduce(args):
                               target=args.target_dir or args.data_dir)
     bundle = _load_bundle(args.data_dir, target_dir=args.target_dir)
     run_dir = _run_dir(args)
-    os.makedirs(run_dir, exist_ok=True)
     config_file.write_resolved(cfg, os.path.join(run_dir, "config-resolved.txt"))
     engine.reproduce(bundle, cfg, run_dir)
     with open(os.path.join(run_dir, "report.txt"), "r", encoding="utf-8") as fh:
@@ -286,10 +285,8 @@ def cmd_export_embeddings(args):
         raise UsageError(f"export-embeddings: --cap must be at least 1, "
                          f"got {args.cap}")
     net, _ = nn.load_checkpoint(args.checkpoint)
-    stem = "target-train" if args.split == "train" else "target-test"
-    source = _load_prepared(args.data_dir, f"source-{args.split}", "source",
-                            args.split)
-    target = _load_prepared(args.data_dir, stem, "target", args.split)
+    source = _load_prepared(args.data_dir, f"source_{args.split}")
+    target = _load_prepared(args.data_dir, f"target_{args.split}")
     paths = evaluate.export_embeddings(net, source, target, args.out_dir,
                                        cap=args.cap, seed=args.seed)
     for name, path in sorted(paths.items()):

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -106,14 +106,15 @@ TEST_SPLITS = ("source_test", "target_test")
 
 @dataclass
 class RunRecord:
-    """Outcome of one trained-and-evaluated method."""
+    """Outcome of one trained-and-evaluated method; its fields are the
+    keys of the saved record."""
 
     method: str
     strategy: str
-    loss_history: tuple
     report: evaluate.EvalReport
-    seeds: dict
-    config: dict
+    loss_history: tuple = ()
+    seeds: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
     wall_clock: float = 0.0
 
 
@@ -437,31 +438,21 @@ def run_baseline(kind, bundle, cfg, seed=None, pretrained_path=None, trial=None)
 
 
 def average_records(records):
-    """Pool trial records into one; accuracy cells come from summed
-    confusion counts, so they equal the mean of per-trial accuracies."""
+    """Pool trial records into the first's row; its report is the summed
+    confusion counts, so each accuracy cell is the mean of the trials'."""
     first = records[0]
-    conf, counts, acc = {}, {}, {}
-    for key in first.report.accuracy:
-        conf[key] = np.sum([r.report.confusion[key] for r in records], axis=0)
-        counts[key] = int(sum(r.report.n_examples[key] for r in records))
-        acc[key] = float(np.trace(conf[key]) / counts[key] * 100.0)
+    conf = {key: np.sum([r.report.confusion[key] for r in records], axis=0)
+            for key in first.report.confusion}
     metadata = {
         "config_hash": config_hash(ExperimentConfig(**first.config)),
         "trial_seeds": [r.seeds["trial_seed"] for r in records],
-        "per_trial_accuracy": [dict(r.report.accuracy) for r in records],
+        "per_trial_accuracy": [r.report.accuracy for r in records],
     }
-    report = evaluate.EvalReport(accuracy=acc, confusion=conf,
-                                 n_examples=counts, metadata=metadata)
-    return RunRecord(
-        method=first.method,
-        strategy=first.strategy,
-        loss_history=(),
-        report=report,
-        seeds={"master": first.seeds["master"],
-               "trial_seeds": metadata["trial_seeds"]},
-        config=dict(first.config),
-        wall_clock=sum(r.wall_clock for r in records),
-    )
+    return replace(first, loss_history=(),
+                   report=evaluate.EvalReport(confusion=conf, metadata=metadata),
+                   seeds={"master": first.seeds["master"],
+                          "trial_seeds": metadata["trial_seeds"]},
+                   wall_clock=sum(r.wall_clock for r in records))
 
 
 def run_trials(bundle, cfg, method="lrsdag", pretrained_paths=None):
@@ -520,15 +511,9 @@ def method_inventory():
 
 
 def _save_record(path, rec):
-    payload = {
-        "method": rec.method,
-        "strategy": rec.strategy,
-        "loss_history": list(rec.loss_history),
-        "report": rec.report.to_dict(),
-        "seeds": rec.seeds,
-        "config": rec.config,
-        "wall_clock": rec.wall_clock,
-    }
+    payload = {f.name: getattr(rec, f.name) for f in fields(RunRecord)}
+    payload.update(loss_history=list(rec.loss_history),
+                   report=rec.report.to_dict())
     data.atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1))
 
 
@@ -538,15 +523,9 @@ def _load_record(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        return RunRecord(
-            method=payload["method"],
-            strategy=payload["strategy"],
-            loss_history=tuple(payload["loss_history"]),
-            report=evaluate.EvalReport.from_dict(payload["report"]),
-            seeds=payload["seeds"],
-            config=payload["config"],
-            wall_clock=payload["wall_clock"],
-        )
+        rec = RunRecord(**{f.name: payload[f.name] for f in fields(RunRecord)})
+        return replace(rec, loss_history=tuple(rec.loss_history),
+                       report=evaluate.EvalReport.from_dict(rec.report))
     except (ValueError, KeyError, TypeError):
         return None
 

@@ -23,14 +23,16 @@ BATCH_SIZE = 512
 
 def predictions(net, ds, use_encoder=False):
     """Predicted class per example; argmax ties go to the lowest index."""
-    tag = "with" if use_encoder else "without"
-    return _shared_n1_predictions(net, ds, (tag,))[tag]
+    return _shared_n1_predictions(net, ds, (use_encoder,))[:, 0]
 
 
 def accuracy(net, ds, use_encoder=False):
     """Top-1 accuracy as a percentage."""
-    preds = predictions(net, ds, use_encoder)
-    return float(np.mean(preds == ds.labels) * 100.0)
+    return _percent_correct(confusion_matrix(net, ds, use_encoder))
+
+
+def _percent_correct(confusion):
+    return float(np.trace(confusion) / confusion.sum() * 100.0)
 
 
 def _confusion(labels, preds):
@@ -72,57 +74,67 @@ def features(net, ds):
                     ds.name, ds.split)
 
 
-def feature_matrix(net, ds):
-    """f(x) over a dataset, flattened to N x k; no layer keeps a cache."""
-    chunks = [np.zeros((0, net.split_dim))]
+def _batched(net, ds, fn):
+    """`fn` over the BATCH_SIZE batches of `ds`' images, its results
+    concatenated; no layer keeps a cache.  An empty set runs as one empty
+    batch."""
     with net.inference():
-        for images, labels in data.batches(ds, BATCH_SIZE):
-            chunks.append(net.forward_features(images).reshape(len(labels), -1))
-    return np.concatenate(chunks)
+        out = ([fn(images) for images, _ in data.batches(ds, BATCH_SIZE)]
+               or [fn(ds.images)])
+    return np.concatenate(out)
+
+
+def feature_matrix(net, ds):
+    """f(x) over a dataset, flattened to N x k."""
+    return _batched(net, ds, lambda images: net.forward_features(images)
+                    .reshape(len(images), net.split_dim))
 
 
 @dataclass
 class EvalReport:
-    """Per-cell accuracy, confusion counts, and example counts."""
+    """Per-cell confusion counts, which give accuracy and example counts."""
 
-    accuracy: dict
     confusion: dict
-    n_examples: dict
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def accuracy(self):
+        return {k: _percent_correct(v) for k, v in self.confusion.items()}
+
+    @property
+    def n_examples(self):
+        return {k: int(v.sum()) for k, v in self.confusion.items()}
 
     def to_dict(self):
         return {
-            "accuracy": dict(self.accuracy),
+            "accuracy": self.accuracy,
             "confusion": {k: v.tolist() for k, v in self.confusion.items()},
-            "n_examples": dict(self.n_examples),
+            "n_examples": self.n_examples,
             "metadata": dict(self.metadata),
         }
 
     @classmethod
     def from_dict(cls, payload):
         return cls(
-            accuracy=dict(payload["accuracy"]),
             confusion={k: np.asarray(v, dtype=np.int64)
                        for k, v in payload["confusion"].items()},
-            n_examples=dict(payload["n_examples"]),
             metadata=dict(payload.get("metadata", {})),
         )
 
 
-def _shared_n1_predictions(net, ds, tags):
-    """Predicted classes per tag ("without"/"with" the encoder), running
-    N1 once per batch for all tags, or not at all over Features, and
-    keeping no layer cache.  A function of its own so that one domain's
-    features are freed before the next domain's N1 pass."""
+def _shared_n1_predictions(net, ds, settings):
+    """Predicted classes, one column per `use_encoder` value in
+    `settings`, running N1 once per batch for all of them, or not at all
+    over Features.  A function of its own so that one domain's features
+    are freed before the next domain's N1 pass."""
     n1 = (lambda x: x) if isinstance(ds, Features) else net.forward_features
-    preds = {tag: [np.zeros(0, dtype=np.int64)] for tag in tags}
-    with net.inference():
-        for images, _ in data.batches(ds, BATCH_SIZE):
-            feats = n1(images)
-            for tag in tags:
-                _, logits = net.head(feats, use_encoder=tag == "with")
-                preds[tag].append(np.argmax(logits, axis=1))
-    return {tag: np.concatenate(chunks) for tag, chunks in preds.items()}
+
+    def predict(images):
+        feats = n1(images)
+        return np.stack([np.argmax(net.head(feats, use_encoder=e)[1], axis=1)
+                         for e in settings], axis=1)
+
+    return _batched(net, ds, predict)
 
 
 def evaluate_pair(net, source_test, target_test, metadata=None):
@@ -133,17 +145,14 @@ def evaluate_pair(net, source_test, target_test, metadata=None):
     through the encoder and N2.  Without an encoder the with-encoder
     cells mirror the bypassed ones.
     """
-    tags = ("without", "with") if net.encoder is not None else ("without",)
-    acc, conf, counts = {}, {}, {}
+    # preds[:, -1] is preds[:, 0] when no encoder is attached
+    settings = (False, True) if net.encoder is not None else (False,)
+    conf = {}
     for domain, ds in (("source", source_test), ("target", target_test)):
-        preds = _shared_n1_predictions(net, ds, tags)
-        for tag in ("without", "with"):
-            key = f"{domain}_{tag}"
-            conf[key] = _confusion(ds.labels, preds.get(tag, preds["without"]))
-            counts[key] = len(ds)
-            acc[key] = float(np.trace(conf[key]) / len(ds) * 100.0)
-    return EvalReport(accuracy=acc, confusion=conf, n_examples=counts,
-                      metadata=dict(metadata or {}))
+        preds = _shared_n1_predictions(net, ds, settings)
+        conf[f"{domain}_without"] = _confusion(ds.labels, preds[:, 0])
+        conf[f"{domain}_with"] = _confusion(ds.labels, preds[:, -1])
+    return EvalReport(confusion=conf, metadata=dict(metadata or {}))
 
 
 def _write_feature_csv(out_dir, name, features, labels):
@@ -174,11 +183,9 @@ def export_embeddings(net, source_ds, target_ds, out_dir, cap=None, seed=0):
     rows = {"fS": (feature_matrix(net, source), source.labels),
             "fT": (target.images.reshape(len(target), net.split_dim), target.labels)}
     if net.encoder is not None:
-        with net.inference():
-            hft = [np.zeros((0, net.split_dim))] + [
-                net.head(feats, use_encoder=True)[0].reshape(len(labels), -1)
-                for feats, labels in data.batches(target, BATCH_SIZE)]
-        rows["hfT"] = (np.concatenate(hft), target.labels)
+        rows["hfT"] = (_batched(net, target, lambda feats: net.head(
+            feats, use_encoder=True)[0].reshape(len(feats), net.split_dim)),
+            target.labels)
     return {name: _write_feature_csv(out_dir, name, *r) for name, r in rows.items()}
 
 

@@ -113,8 +113,7 @@ class Linear(Layer):
     def forward(self, x, keep=True):
         # the input is read only for the weight gradient
         self._in_shape = x.shape if keep else None
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
+        x = x.reshape(len(x), self.in_dim)
         self._x = x if keep and not self.frozen else None
         return x @ self.weight.value.T + self.bias.value
 

@@ -142,14 +142,31 @@ class TestPrepareData:
         assert not raw.exists() and not out.exists()
 
 
+    def test_default_syn_params_are_synparams_defaults(self, prep_dir):
+        with open(os.path.join(prep_dir, "manifest.json")) as fh:
+            written = json.load(fh)["syn_params"]
+        default = data.SynParams()
+        assert written == {"flip_prob": default.flip_prob,
+                           "shear_max_deg": default.shear_max_deg,
+                           "brightness": list(default.brightness),
+                           "contrast": list(default.contrast)}
+
     @pytest.mark.parametrize("stem", ["source-train", "target-val"])
     def test_load_prepared_matches_idx_files(self, prep_dir, stem):
         name, split = stem.split("-")
-        got = cli._load_prepared(prep_dir, stem, name, split)
+        got = cli._load_prepared(prep_dir, f"{name}_{split}")
         want = read_prepared(prep_dir, stem, name, split)
         assert (got.name, got.split) == (name, split)
         assert got.images.tobytes() == want.images.tobytes()
         assert got.labels.dtype == want.labels.dtype
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_load_prepared_reads_the_given_stem(self, prep_dir):
+        # grid-search trains on the tuning split under the name target_train
+        got = cli._load_prepared(prep_dir, "target_train", "target-tune")
+        want = read_prepared(prep_dir, "target-tune", "target", "train")
+        assert (got.name, got.split) == ("target", "train")
+        assert got.images.tobytes() == want.images.tobytes()
         np.testing.assert_array_equal(got.labels, want.labels)
 
 

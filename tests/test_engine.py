@@ -555,6 +555,24 @@ class TestReproduce:
         np.testing.assert_allclose([float(r.split(",")[1]) for r in rows],
                                    golden["phase1"], rtol=1e-9)
 
+    def test_cell_records_match_golden(self, tmp_path):
+        # tests/data/golden-cells.json holds every cell record this same
+        # call wrote before a report was reduced to its confusion counts,
+        # without wall_clock and the loss histories golden-losses.json pins
+        bundle = blob_bundle(n_train=60, n_test=40)
+        cfg = quick_cfg(source_epochs=3, max_adapt_epochs=2)
+        engine.reproduce(bundle, cfg, str(tmp_path))
+        with open(os.path.join(GOLDEN_DIR, "golden-cells.json")) as fh:
+            golden = json.load(fh)
+        got = {}
+        for name in sorted(os.listdir(tmp_path / "cells")):
+            text = (tmp_path / "cells" / name).read_text()
+            payload = json.loads(text)
+            assert text == json.dumps(payload, sort_keys=True, indent=1), name
+            del payload["wall_clock"], payload["loss_history"]
+            got[name] = payload
+        assert got == golden
+
     def test_source_preservation_column_constant(self, tmp_path):
         bundle = blob_bundle(n_train=60, n_test=40)
         cfg = quick_cfg(source_epochs=3, max_adapt_epochs=2)

@@ -1,5 +1,6 @@
 import contextlib
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ class TestEvaluatePair:
                 want = evaluate.confusion_matrix(net, ds, use_encoder=tag == "with")
                 np.testing.assert_array_equal(report.confusion[f"{domain}_{tag}"], want)
                 assert report.n_examples[f"{domain}_{tag}"] == len(ds)
+
+    @pytest.mark.parametrize("build", [nn.build_fcn, nn.build_cnn],
+                             ids=["fcn", "cnn"])
+    def test_empty_sets(self, build):
+        # an empty set runs as one empty batch
+        net = build(seed=2)
+        nn.build_encoder(net, seed=2)
+        empty = balanced_dataset(0)
+        assert evaluate.feature_matrix(net, empty).shape == (0, net.split_dim)
+        report = evaluate.evaluate_pair(net, empty, empty)
+        for key in evaluate.CELLS:
+            np.testing.assert_array_equal(report.confusion[key],
+                                          np.zeros((10, 10), dtype=np.int64))
+            assert report.n_examples[key] == 0
 
     def test_keeps_no_layer_cache(self, held_caches):
         net = nn.build_cnn(seed=5)
@@ -226,8 +241,7 @@ class FakeRecord:
     def __init__(self, method, strategy, cells):
         self.method = method
         self.strategy = strategy
-        self.report = evaluate.EvalReport(accuracy=cells, confusion={},
-                                          n_examples={})
+        self.report = types.SimpleNamespace(accuracy=cells)
 
 
 class TestRenderReport:

@@ -127,6 +127,17 @@ class TestForward:
         np.testing.assert_array_equal(net.forward(x, use_encoder=False)[0], f)
         assert not np.array_equal(net.forward(x, use_encoder=True)[0], f)
 
+    @pytest.mark.parametrize("build", [nn.build_fcn, nn.build_cnn],
+                             ids=["fcn", "cnn"])
+    def test_empty_batch_gives_empty_logits(self, build):
+        net = build(seed=0)
+        nn.build_encoder(net, seed=1)
+        for use_encoder in (False, True):
+            split, logits = net.forward(np.zeros((0, 1, 32, 32)),
+                                        use_encoder=use_encoder)
+            assert split.shape == (0,) + net.split_shape
+            assert logits.shape == (0, 10)
+
     def test_overflow_raises_nonfinite(self):
         net = nn.build_fcn(seed=0)
         net.n1[0].weight.value[:] = 1.0
