@@ -93,6 +93,15 @@ def _parse_syn_params(args):
     )
 
 
+def _numbers(text):
+    """The comma-separated numbers of a grid flag such as --lrs."""
+    try:
+        return [float(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _write_pair(out_dir, stem, ds):
     images_path = os.path.join(out_dir, f"{stem}-images.idx")
     labels_path = os.path.join(out_dir, f"{stem}-labels.idx")
@@ -199,14 +208,13 @@ def cmd_adapt(args):
     # the LRS-DAG cell of `reproduce`, started from the given checkpoint;
     # only the splits the objective reads are loaded (CLS reads no source)
     cfg = _load_config(args)
-    net, _ = nn.load_checkpoint(args.checkpoint)
     reads = engine.METHODS["lrsdag"].reads(cfg)
     bundle = engine.DomainData(**{
         name: _load_prepared(args.data_dir, name) if name in reads else None
         for name in engine.SPLITS})
+    trial = engine.Trial.start(bundle, cfg, cfg.seed, args.checkpoint, reads)
     run_dir = _run_dir(args)
-    net, history = engine._fit(bundle, cfg, "lrsdag", cfg.seed,
-                               engine.Trial(net, bundle, reads))
+    net, history = engine._fit(bundle, cfg, "lrsdag", cfg.seed, trial)
     adapted = os.path.join(run_dir, "adapted.npz")
     nn.save_checkpoint(net, adapted,
                        meta={"phase": "adapted", "loss": cfg.loss,
@@ -254,12 +262,10 @@ def cmd_grid_search(args):
     if len(val) == 0:
         raise data.DataError("validation split is empty; prepare data with a "
                              "larger corpus or validation fraction")
-    run_dir = _run_dir(args)
-    lrs = [float(v) for v in args.lrs.split(",") if v]
-    decays = [float(v) for v in args.weight_decays.split(",") if v]
-    best = engine.grid_search(lrs, decays, bundle, val, cfg,
+    best = engine.grid_search(args.lrs, args.weight_decays, bundle, val, cfg,
                               method=args.method,
                               pretrained_path=args.checkpoint)
+    run_dir = _run_dir(args)
     config_file.write_resolved(best, os.path.join(run_dir, "best-config.txt"))
     print(f"best lr {best.lr!r}, weight_decay {best.weight_decay!r} "
           f"(written to {os.path.join(run_dir, 'best-config.txt')})")
@@ -342,9 +348,9 @@ def build_parser():
     grid = sub.add_parser("grid-search", help="select lr and weight decay")
     grid.add_argument("--config", default=None)
     grid.add_argument("--data-dir", required=True)
-    grid.add_argument("--lrs", required=True,
+    grid.add_argument("--lrs", required=True, type=_numbers,
                       help="comma-separated learning rates")
-    grid.add_argument("--weight-decays", required=True,
+    grid.add_argument("--weight-decays", required=True, type=_numbers,
                       help="comma-separated weight decays")
     grid.add_argument("--method", default="lrsdag", choices=tuple(engine.METHODS))
     grid.add_argument("--checkpoint", default=None,

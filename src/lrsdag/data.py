@@ -111,11 +111,6 @@ class SynParams:
             raise DataError(f"brightness_hi {self.brightness[1]!r} with contrast_hi "
                             f"{self.contrast[1]!r} overflows float64 pixel values")
 
-    @classmethod
-    def identity(cls, seed=0):
-        return cls(flip_prob=0.0, shear_max_deg=0.0,
-                   brightness=(1.0, 1.0), contrast=(1.0, 1.0), seed=seed)
-
 
 @contextlib.contextmanager
 def atomic_open(path):

@@ -189,7 +189,6 @@ def _train(net, ds, cfg, seed, tag, epochs, align=None, min_rows=1,
                 value += tc.cross_entropy(logits, labels)
                 if not math.isfinite(value):
                     raise NonFiniteLoss(f"non-finite loss at epoch {epoch}", epoch)
-                net.zero_grad()
                 net.backward(tc.cross_entropy_grad(logits, labels),
                              use_encoder=use_encoder, split_grad=split_grad)
                 opt.step()
@@ -297,9 +296,14 @@ class Trial:
     @classmethod
     def start(cls, bundle, cfg, seed, pretrained_path=None, splits=SPLITS):
         """The Trial of the checkpoint at `pretrained_path`, which must
-        exist, or of a phase-1 model trained here when it is None."""
+        exist and hold no encoder, or of a phase-1 model trained here when
+        it is None."""
         if pretrained_path is not None:
-            return cls(nn.load_checkpoint(pretrained_path)[0], bundle, splits)
+            net, _ = nn.load_checkpoint(pretrained_path)
+            if net.encoder is not None:
+                raise nn.EncoderAlreadyPresent(
+                    f"{pretrained_path} holds an encoder; a phase-1 model has none")
+            return cls(net, bundle, splits)
         net, history = _pretrain(bundle.source_train, cfg, seed)
         return cls(net, bundle, splits, history)
 
@@ -455,10 +459,9 @@ def average_records(records):
                    wall_clock=sum(r.wall_clock for r in records))
 
 
-def run_trials(bundle, cfg, method="lrsdag", pretrained_paths=None):
+def run_trials(bundle, cfg, method="lrsdag"):
     """Run cfg.trials independent trials; returns (averaged, per-trial)."""
-    records = [_run(method, bundle, cfg, cfg.seed + trial,
-                    pretrained_paths[trial] if pretrained_paths else None)
+    records = [_run(method, bundle, cfg, cfg.seed + trial, None)
                for trial in range(cfg.trials)]
     return average_records(records), records
 

@@ -139,9 +139,6 @@ LOSSES = {
     "coral": Loss("CORAL", loss_coral, min_rows=2),
 }
 
-LOSS_KINDS = tuple(LOSSES)
-
-
 def alignment(kind, fS, hfT):
     """The alignment term of `kind`; (0, zeros) for plain cls."""
     if kind not in LOSSES:

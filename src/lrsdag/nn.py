@@ -118,11 +118,11 @@ class Linear(Layer):
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, dout):
-        """Input gradient; weight gradients accumulate only when trainable."""
+        """Input gradient; a trainable layer also sets its `grad` buffers."""
         in_shape = self._kept(self._in_shape)
         if not self.frozen:
-            self.weight.grad += dout.T @ self._kept(self._x)
-            self.bias.grad += dout.sum(axis=0)
+            np.matmul(dout.T, self._kept(self._x), out=self.weight.grad)
+            np.sum(dout, axis=0, out=self.bias.grad)
         dx = dout @ self.weight.value
         return dx.reshape(in_shape)
 
@@ -180,7 +180,7 @@ class Conv2d(Layer):
         return out
 
     def backward(self, dout):
-        """Input gradient; weight gradients accumulate only when trainable."""
+        """Input gradient; a trainable layer also sets its `grad` buffers."""
         from .tensor_core import col2im
 
         x_shape = self._kept(self._x_shape)
@@ -190,10 +190,10 @@ class Conv2d(Layer):
             # batch axis copies whole pixel rows, unlike a (B*Ho*Wo, K) transpose
             cols = self._kept(self._cols)
             k = cols.shape[1]
-            dw = (dmat.transpose(1, 0, 2).reshape(self.c_out, -1)
-                  @ cols.transpose(1, 0, 2).reshape(k, -1).T)
-            self.weight.grad += dw.reshape(self.weight.value.shape)
-            self.bias.grad += dout.sum(axis=(0, 2, 3))
+            np.matmul(dmat.transpose(1, 0, 2).reshape(self.c_out, -1),
+                      cols.transpose(1, 0, 2).reshape(k, -1).T,
+                      out=self.weight.grad.reshape(self.c_out, k))
+            np.sum(dout, axis=(0, 2, 3), out=self.bias.grad)
         dcols = self.weight.value.reshape(self.c_out, -1).T @ dmat
         return col2im(dcols, x_shape, self.kh, self.kw, self.stride, self.padding)
 
@@ -298,8 +298,9 @@ class Network:
         return x
 
     def backward(self, dlogits, use_encoder=False, split_grad=None):
-        """Backpropagate from the logits, accumulating the gradients of
-        trainable parameters; frozen layers pass the input gradient only.
+        """Backpropagate from the logits.  Each trainable layer on the walk
+        writes its parameter gradients; frozen layers pass the input
+        gradient only and never write their buffers.
 
         `split_grad` is added to the gradient arriving at the n2 input (used
         for feature-alignment terms acting on the split features).  When
@@ -324,20 +325,6 @@ class Network:
         for layer in reversed(self.n1):
             d = layer.backward(d)
         return d
-
-    def zero_grad(self):
-        """Zero the gradients of trainable layers.
-
-        Frozen layers never accumulate a gradient and `Adam` never reads
-        theirs, so their buffers are left as they are; a layer unfrozen
-        later is zeroed here, like any trainable one, before its first
-        backward pass.
-        """
-        for layer in self.layers(use_encoder=self.encoder is not None):
-            if layer.frozen:
-                continue
-            for p in layer.params():
-                p.grad.fill(0.0)
 
     def all_params(self, blocks=BLOCK_NAMES):
         out = []

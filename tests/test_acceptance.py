@@ -26,6 +26,8 @@ from lrsdag import cli, data, engine, evaluate, losses, nn, sampling
 from lrsdag import tensor_core as tc
 from lrsdag.seeding import derive_rng
 
+from gradcheck import grad_check
+
 DESK_SEED = 0
 DESK_CFG = engine.ExperimentConfig(
     model="fcn", lr=1e-3, batch_size=128, source_epochs=30,
@@ -64,9 +66,10 @@ def ordering_runs(desk, pretrained_paths):
     out = {}
     for loss in ("cls_kl", "cls_kl_rev", "coral"):
         cfg = dataclasses.replace(DESK_CFG, loss=loss)
-        averaged, _ = engine.run_trials(desk["bundle"], cfg,
-                                        pretrained_paths=pretrained_paths)
-        out[loss] = averaged
+        out[loss] = engine.average_records([
+            engine.run_lrsdag(desk["bundle"], cfg, seed=cfg.seed + t,
+                              pretrained_path=path)
+            for t, path in enumerate(pretrained_paths)])
     return out
 
 
@@ -157,11 +160,11 @@ def test_criterion_4_gradient_suite():
 
         fS = rng.normal(size=(B, k)) * 2.0
         for fn in (loss.align for loss in losses.LOSSES.values() if loss.align):
-            worst = max(worst, tc.grad_check(lambda h: fn(fS, h),
-                                             rng.normal(size=(B, k))))
+            worst = max(worst, grad_check(lambda h: fn(fS, h),
+                                          rng.normal(size=(B, k))))
 
         labels = rng.integers(0, 5, size=B)
-        worst = max(worst, tc.grad_check(
+        worst = max(worst, grad_check(
             lambda z: (tc.cross_entropy(z, labels),
                        tc.cross_entropy_grad(z, labels)),
             rng.normal(size=(B, 5))))
@@ -174,7 +177,7 @@ def test_criterion_4_gradient_suite():
             out = lin.forward(x)
             return float(np.sum(out * dout)), lin.backward(dout)
 
-        worst = max(worst, tc.grad_check(lin_fn, x0))
+        worst = max(worst, grad_check(lin_fn, x0))
 
         conv = nn.Conv2d(2, 3, 3, 3, stride=1, padding=1, rng=rng)
         xc = rng.normal(size=(2, 2, 5, 5))
@@ -184,8 +187,8 @@ def test_criterion_4_gradient_suite():
             out = conv.forward(x)
             return float(np.sum(out * dc)), conv.backward(dc)
 
-        worst = max(worst, tc.grad_check(conv_fn, xc, max_coords=40,
-                                         rng=np.random.default_rng(seed)))
+        worst = max(worst, grad_check(conv_fn, xc, max_coords=40,
+                                      rng=np.random.default_rng(seed)))
 
         relu = nn.ReLU()
         xr = rng.normal(size=(4, 7))
@@ -196,7 +199,7 @@ def test_criterion_4_gradient_suite():
             out = relu.forward(x)
             return float(np.sum(out * dr)), relu.backward(dr)
 
-        worst = max(worst, tc.grad_check(relu_fn, xr))
+        worst = max(worst, grad_check(relu_fn, xr))
     _report(4, worst < 1e-4,
             f"max relative gradient error {worst:.3e} over layers and "
             "losses, 10 seeds each (< 1e-4)")

@@ -63,6 +63,17 @@ def source_run(prep_dir, tiny_cfg_path, tmp_path_factory):
     return run_dir
 
 
+@pytest.fixture(scope="module")
+def adapted_ckpt(prep_dir, tiny_cfg_path, source_run, tmp_path_factory):
+    """The checkpoint `lrsdag adapt` writes: a phase-1 model plus encoder."""
+    run_dir = str(tmp_path_factory.mktemp("cli-adapt"))
+    rc = run("adapt", "--config", tiny_cfg_path, "--data-dir", prep_dir,
+             "--checkpoint", os.path.join(source_run, "source.npz"),
+             "--run-dir", run_dir)
+    assert rc == 0
+    return os.path.join(run_dir, "adapted.npz")
+
+
 class TestPrepareData:
     def test_outputs_and_manifest(self, prep_dir):
         manifest = json.loads(
@@ -278,6 +289,16 @@ class TestAdaptEvaluate:
         assert f"frozen block {block}" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(run_dir, "adapted.npz"))
 
+    def test_adapted_checkpoint_exits_2(self, prep_dir, tiny_cfg_path,
+                                        adapted_ckpt, tmp_path, capsys):
+        # an encoder is attached only to a phase-1 model, which has none
+        run_dir = tmp_path / "run"
+        rc = run("adapt", "--config", tiny_cfg_path, "--data-dir", prep_dir,
+                 "--checkpoint", adapted_ckpt, "--run-dir", str(run_dir))
+        assert rc == 2
+        assert adapted_ckpt in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_not_a_checkpoint_exits_2(self, prep_dir, not_a_checkpoint,
                                        tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -337,6 +358,34 @@ class TestBaselineGrid:
                  "--checkpoint", missing, "--run-dir", str(tmp_path))
         assert rc == 2
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag", ["--lrs", "--weight-decays"])
+    def test_grid_search_non_number_exits_1_before_reading_data(
+            self, tiny_cfg_path, tmp_path, capsys, flag):
+        # the data dir does not exist, so reading it first would exit 2
+        values = {"--lrs": "0.001", "--weight-decays": "0"}
+        values[flag] += ",abc"
+        run_dir = tmp_path / "run"
+        rc = run("grid-search", "--config", tiny_cfg_path,
+                 "--data-dir", str(tmp_path / "no-data"),
+                 *(arg for item in values.items() for arg in item),
+                 "--run-dir", str(run_dir))
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_grid_search_adapted_checkpoint_exits_2(
+            self, prep_dir, tiny_cfg_path, adapted_ckpt, tmp_path, capsys):
+        # N2 would be fine-tuned with the encoder bypassed, then scored
+        # through it
+        run_dir = tmp_path / "run"
+        rc = run("grid-search", "--config", tiny_cfg_path,
+                 "--data-dir", prep_dir, "--lrs", "0.001",
+                 "--weight-decays", "0", "--method", "finetune_n2",
+                 "--checkpoint", adapted_ckpt, "--run-dir", str(run_dir))
+        assert rc == 2
+        assert adapted_ckpt in capsys.readouterr().err
+        assert not (run_dir / "best-config.txt").exists()
 
     def test_grid_search_checkpoint_with_target_trained_is_config_error(
             self, prep_dir, tiny_cfg_path, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -242,7 +243,6 @@ def reference_adapt(net, ds, sampler, cfg, seed):
             ref = sampler.draw(len(labels)) if needs_sampler else flat
             align_value, align_grad = losses.alignment(cfg.loss, ref, flat)
             value = cfg.align_weight * align_value + tc.cross_entropy(logits, labels)
-            net.zero_grad()
             net.backward(tc.cross_entropy_grad(logits, labels), use_encoder=True,
                          split_grad=(cfg.align_weight * align_grad).reshape(split.shape))
             opt.step()
@@ -355,6 +355,39 @@ class TestBaselines:
                                 pretrained_path=path)
 
 
+@pytest.fixture(scope="module")
+def adapted(pretrained, tmp_path_factory):
+    """(path, bundle): the pretrained checkpoint with an encoder attached."""
+    path, bundle = pretrained
+    net, _ = nn.load_checkpoint(path)
+    nn.build_encoder(net, seed=1)
+    adapted_path = str(tmp_path_factory.mktemp("adapted") / "adapted.npz")
+    nn.save_checkpoint(net, adapted_path, meta={"phase": "adapted"})
+    return adapted_path, bundle
+
+
+class TestEncoderCheckpointRejected:
+    """A checkpoint holding an encoder is no phase-1 model: a method started
+    from it would train or report with the encoder bypassed."""
+
+    @pytest.mark.parametrize("start", ["lrsdag", "source_trained", "grid"])
+    def test_raises_before_any_training(self, adapted, monkeypatch, start):
+        path, bundle = adapted
+        monkeypatch.setattr(engine, "_train", lambda *a, **k: pytest.fail("trained"))
+        monkeypatch.setattr(evaluate, "features",
+                            lambda *a, **k: pytest.fail("ran N1"))
+        with pytest.raises(nn.EncoderAlreadyPresent, match=re.escape(path)):
+            if start == "lrsdag":
+                engine.run_lrsdag(bundle, quick_cfg(loss="cls"), pretrained_path=path)
+            elif start == "source_trained":
+                engine.run_baseline(start, bundle, quick_cfg(), pretrained_path=path)
+            else:
+                engine.grid_search([1e-3], [0.0], bundle,
+                                   blob_dataset(30, seed=26, split="val"),
+                                   quick_cfg(), method="finetune_n2",
+                                   pretrained_path=path)
+
+
 class TestFreezeCheck:
     @pytest.mark.parametrize("case", ["n2_ulp", "n1_signed_zero"])
     def test_frozen_change_fails_adaptation(self, pretrained, tamper_frozen,
@@ -374,20 +407,27 @@ class TestFreezeCheck:
                                 pretrained_path=ckpt)
 
 
+def trials_from(bundle, cfg, paths):
+    """(averaged, per-trial) records of one LRS-DAG trial per phase-1
+    checkpoint, trial t started from paths[t]."""
+    records = [engine.run_lrsdag(bundle, cfg, seed=cfg.seed + t,
+                                 pretrained_path=path)
+               for t, path in enumerate(paths)]
+    return engine.average_records(records), records
+
+
 class TestRunTrials:
     def test_single_trial_average_equals_record(self, pretrained):
         path, bundle = pretrained
         cfg = quick_cfg(loss="cls_mse", max_adapt_epochs=2)
-        averaged, records = engine.run_trials(bundle, cfg,
-                                              pretrained_paths=[path])
+        averaged, records = trials_from(bundle, cfg, [path])
         assert len(records) == 1
         assert averaged.report.accuracy == records[0].report.accuracy
 
     def test_mean_matches_per_trial_accuracies(self, pretrained):
         path, bundle = pretrained
         cfg = quick_cfg(loss="cls_mse", trials=2, max_adapt_epochs=2)
-        averaged, records = engine.run_trials(bundle, cfg,
-                                              pretrained_paths=[path, path])
+        averaged, records = trials_from(bundle, cfg, [path, path])
         per_trial = averaged.report.metadata["per_trial_accuracy"]
         for key in evaluate.CELLS:
             mean = np.mean([cells[key] for cells in per_trial])

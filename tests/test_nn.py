@@ -6,14 +6,14 @@ import pytest
 from lrsdag import nn
 from lrsdag import tensor_core as tc
 
+from gradcheck import grad_check
+
 
 def project_fn(layer, r):
     """Scalarize a layer as sum(r * layer(x)) so grad_check can probe dx."""
     def fn(x):
         out = layer.forward(x)
         val = float((out * r).sum())
-        for p in layer.params():
-            p.grad.fill(0.0)
         dx = layer.backward(r)
         return val, dx
     return fn
@@ -25,8 +25,6 @@ def param_fn(layer, x, param, r):
         param.value[:] = w
         out = layer.forward(x)
         val = float((out * r).sum())
-        for p in layer.params():
-            p.grad.fill(0.0)
         layer.backward(r)
         return val, param.grad.copy()
     return fn
@@ -281,11 +279,15 @@ class TestAdam:
                             == np.asarray(ref_opt._state[id(pb)][key]).tobytes())
 
 
+# (layer factory, input shape) of each layer kind with parameters
+PARAM_LAYERS = pytest.mark.parametrize("factory,shape", [
+    (lambda rng: nn.Linear(6, 4, rng=rng), (3, 6)),
+    (lambda rng: nn.Conv2d(2, 3, 3, 3, 2, 1, rng=rng), (2, 2, 6, 6)),
+], ids=["linear", "conv"])
+
+
 class TestFrozenBackward:
-    @pytest.mark.parametrize("factory,shape", [
-        (lambda rng: nn.Linear(6, 4, rng=rng), (3, 6)),
-        (lambda rng: nn.Conv2d(2, 3, 3, 3, 2, 1, rng=rng), (2, 2, 6, 6)),
-    ], ids=["linear", "conv"])
+    @PARAM_LAYERS
     def test_frozen_layer_passes_dx_only(self, factory, shape):
         rng = np.random.default_rng(3)
         trainable, frozen = factory(np.random.default_rng(4)), factory(np.random.default_rng(4))
@@ -310,11 +312,64 @@ class TestFrozenBackward:
         assert all(p.grad.any() for p in net.all_params(("encoder",)))
 
 
+class TestGradientBuffers:
+    """A backward sets the gradients of a trainable layer, so no value from
+    an earlier step can reach `Adam`."""
+
+    @PARAM_LAYERS
+    def test_second_backward_overwrites_the_first(self, factory, shape):
+        rng = np.random.default_rng(21)
+        layer, fresh, frozen = (factory(np.random.default_rng(4)) for _ in range(3))
+        frozen.frozen = True
+        x = rng.normal(size=shape)
+        for each in (layer, fresh, frozen):
+            out = each.forward(x)
+        first, second = rng.normal(size=out.shape), rng.normal(size=out.shape)
+        for each in (layer, frozen):
+            each.backward(first)
+            each.backward(second)
+        fresh.backward(second)
+        assert ([p.grad.tobytes() for p in layer.params()]
+                == [p.grad.tobytes() for p in fresh.params()])
+        assert all(not p.grad.any() for p in frozen.params())
+
+    @pytest.mark.parametrize("fit", ["phase1", "finetune", "adapt"])
+    @pytest.mark.parametrize("build", [nn.build_fcn, nn.build_cnn],
+                             ids=["fcn", "cnn"])
+    def test_training_step_sets_every_trainable_gradient(self, build, fit):
+        # the three networks `engine._train` steps: all layers trainable,
+        # N1 frozen with N2 on f(x), and the encoder between frozen halves
+        net = build(seed=0)
+        use_encoder = fit == "adapt"
+        if fit != "phase1":
+            nn.set_frozen(net, ("n1",), True)
+        if use_encoder:
+            nn.build_encoder(net, seed=1)
+            nn.set_frozen(net, ("n2",), True)
+        trainable = [p for layer in net.layers(use_encoder=use_encoder)
+                     if not layer.frozen for p in layer.params()]
+        for p in trainable:
+            p.grad.fill(np.nan)
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(4, 1, 32, 32))
+        if fit == "phase1":
+            split, logits = net.forward(x)
+        else:
+            with net.inference():
+                f = net.forward_features(x)
+            split, logits = net.head(f, use_encoder=use_encoder)
+        split_grad = rng.normal(size=split.shape) if use_encoder else None
+        net.backward(tc.cross_entropy_grad(logits, np.array([1, 4, 4, 9])),
+                     use_encoder=use_encoder, split_grad=split_grad)
+        assert trainable and all(np.isfinite(p.grad).all() for p in trainable)
+        assert all(not p.grad.any() for layer in net.layers(use_encoder=True)
+                   if layer.frozen for p in layer.params())
+
+
 class TestFreezing:
     def _train_steps(self, net, steps, x, labels):
         opt = nn.Adam(net.layers(use_encoder=net.encoder is not None), lr=1e-2)
         for _ in range(steps):
-            net.zero_grad()
             _, logits = net.forward(x, use_encoder=net.encoder is not None)
             net.backward(tc.cross_entropy_grad(logits, labels),
                          use_encoder=net.encoder is not None)
@@ -343,18 +398,6 @@ class TestFreezing:
         self._train_steps(net, 3, x, labels)
         assert net.param_bytes(("n1",)) != raw
 
-    def test_zero_grad_skips_frozen_layers(self):
-        net = nn.build_fcn(seed=0)
-        nn.build_encoder(net, seed=1)
-        nn.set_frozen(net, ("n1", "n2"), True)
-        for p in net.all_params():
-            p.grad[:] = 1.5
-        stale = net.all_params(("n1", "n2"))
-        raw = [p.grad.tobytes() for p in stale]
-        net.zero_grad()
-        assert all(not p.grad.any() for p in net.all_params(("encoder",)))
-        assert [p.grad.tobytes() for p in stale] == raw
-
     def test_freeze_missing_encoder(self):
         with pytest.raises(nn.EncoderMissing):
             nn.set_frozen(nn.build_fcn(seed=0), ("encoder",), True)
@@ -382,7 +425,7 @@ class TestLayerGradients:
         x = rng.normal(size=in_shape) + 0.1  # keep clear of the ReLU kink
         out = layer.forward(x)
         r = rng.normal(size=out.shape)
-        err = tc.grad_check(project_fn(layer, r), x, eps=1e-5, max_coords=60, rng=rng)
+        err = grad_check(project_fn(layer, r), x, eps=1e-5, max_coords=60, rng=rng)
         assert err < 1e-4
 
     @pytest.mark.parametrize("name,factory", WITH_PARAMS, ids=[c[0] for c in WITH_PARAMS])
@@ -392,8 +435,8 @@ class TestLayerGradients:
         x = rng.normal(size=in_shape)
         r = rng.normal(size=layer.forward(x).shape)
         for param in layer.params():
-            err = tc.grad_check(param_fn(layer, x, param, r), param.value.copy(),
-                                eps=1e-5, max_coords=60, rng=rng)
+            err = grad_check(param_fn(layer, x, param, r), param.value.copy(),
+                             eps=1e-5, max_coords=60, rng=rng)
             assert err < 1e-4
 
     def test_full_network_input_gradient(self):
@@ -403,13 +446,12 @@ class TestLayerGradients:
 
         def fn(x):
             _, logits = net.forward(x)
-            net.zero_grad()
             dx = net.backward(tc.cross_entropy_grad(logits, labels))
             return tc.cross_entropy(logits, labels), dx
 
         for shape in ((2, 1024), (2, 1, 32, 32)):
-            err = tc.grad_check(fn, rng.normal(size=shape), eps=1e-5,
-                                max_coords=60, rng=rng)
+            err = grad_check(fn, rng.normal(size=shape), eps=1e-5,
+                             max_coords=60, rng=rng)
             assert err < 1e-4, shape
 
 

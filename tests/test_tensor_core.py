@@ -6,6 +6,8 @@ import pytest
 from lrsdag import nn
 from lrsdag import tensor_core as tc
 
+from gradcheck import grad_check
+
 
 def conv(x, kernels, stride=1, padding=0):
     """nn.Conv2d with the given kernels and zero bias on a (B, C, H, W) batch."""
@@ -161,6 +163,9 @@ class TestCrossEntropy:
 
 
 class TestGradCheck:
+    """The finite-difference checker of tests/gradcheck.py, which the layer,
+    loss and acceptance tests use."""
+
     def test_linear_map(self):
         rng = np.random.default_rng(7)
         w = rng.normal(size=(6, 4))
@@ -170,7 +175,7 @@ class TestGradCheck:
             out = w @ x
             return float(r @ out), w.T @ r
 
-        err = tc.grad_check(fn, rng.normal(size=4), eps=1e-5)
+        err = grad_check(fn, rng.normal(size=4), eps=1e-5)
         assert err < 1e-6
 
     def test_softmax_cross_entropy_composite(self):
@@ -180,14 +185,14 @@ class TestGradCheck:
         def fn(logits):
             return tc.cross_entropy(logits, labels), tc.cross_entropy_grad(logits, labels)
 
-        err = tc.grad_check(fn, rng.normal(size=(3, 4)), eps=1e-5)
+        err = grad_check(fn, rng.normal(size=(3, 4)), eps=1e-5)
         assert err < 1e-5
 
     def test_constant_function(self):
         def fn(x):
             return 1.25, np.zeros_like(x)
 
-        assert tc.grad_check(fn, np.ones(5), eps=1e-5) == 0.0
+        assert grad_check(fn, np.ones(5), eps=1e-5) == 0.0
 
     def test_coordinate_subsampling(self):
         rng = np.random.default_rng(9)
@@ -196,9 +201,9 @@ class TestGradCheck:
         def fn(x):
             return float(a @ x), a.copy()
 
-        err = tc.grad_check(fn, rng.normal(size=64), eps=1e-5, max_coords=10)
+        err = grad_check(fn, rng.normal(size=64), eps=1e-5, max_coords=10)
         assert err < 1e-6
 
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError):
-            tc.grad_check(lambda x: (0.0, np.zeros_like(x)), np.ones(2), eps=0.5)
+            grad_check(lambda x: (0.0, np.zeros_like(x)), np.ones(2), eps=0.5)
