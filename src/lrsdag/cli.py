@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -94,12 +95,16 @@ def _parse_syn_params(args):
 
 
 def _numbers(text):
-    """The comma-separated numbers of a grid flag such as --lrs."""
+    """The comma-separated numbers of a grid flag such as --lrs: at least
+    one, each finite and nonnegative."""
     try:
-        return [float(v) for v in text.split(",") if v]
+        values = [float(v) for v in text.split(",") if v]
     except ValueError:
+        values = None
+    if not values or not all(math.isfinite(v) and v >= 0 for v in values):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
+            f"expected comma-separated finite nonnegative numbers, got {text!r}")
+    return values
 
 
 def _write_pair(out_dir, stem, ds):

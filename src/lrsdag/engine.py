@@ -190,7 +190,8 @@ def _train(net, ds, cfg, seed, tag, epochs, align=None, min_rows=1,
                 if not math.isfinite(value):
                     raise NonFiniteLoss(f"non-finite loss at epoch {epoch}", epoch)
                 net.backward(tc.cross_entropy_grad(logits, labels),
-                             use_encoder=use_encoder, split_grad=split_grad)
+                             use_encoder=use_encoder, split_grad=split_grad,
+                             input_grad=False)
                 opt.step()
             except (tc.NonFiniteValue, nn.NonFiniteGradient) as exc:
                 raise NonFiniteLoss(

@@ -21,6 +21,9 @@ BLOCK_NAMES = ("n1", "n2", "encoder")
 
 # images unfolded at a time by a conv forward that keeps no im2col columns
 CONV_CHUNK = 32
+# images whose input gradient a conv backward computes at a time, so that
+# col2im reads their column gradients while they are still in cache
+DX_CHUNK = 8
 
 
 class NetworkError(Exception):
@@ -67,7 +70,9 @@ class Layer:
         so the layer keeps nothing and drops what an earlier forward kept."""
         raise NotImplementedError
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
+        """The input gradient, or None when `input_grad` is False because
+        nothing reads it; a trainable layer also sets its `grad` buffers."""
         raise NotImplementedError
 
     def _kept(self, value):
@@ -117,12 +122,13 @@ class Linear(Layer):
         self._x = x if keep and not self.frozen else None
         return x @ self.weight.value.T + self.bias.value
 
-    def backward(self, dout):
-        """Input gradient; a trainable layer also sets its `grad` buffers."""
+    def backward(self, dout, input_grad=True):
         in_shape = self._kept(self._in_shape)
         if not self.frozen:
             np.matmul(dout.T, self._kept(self._x), out=self.weight.grad)
             np.sum(dout, axis=0, out=self.bias.grad)
+        if not input_grad:
+            return None
         dx = dout @ self.weight.value
         return dx.reshape(in_shape)
 
@@ -165,7 +171,7 @@ class Conv2d(Layer):
         if keep and not self.frozen:
             self._cols, h_out, w_out = im2col(x, self.kh, self.kw, self.stride,
                                               self.padding)
-            out = weight @ self._cols
+            out = np.matmul(weight, self._cols.transpose(1, 0, 2))
         else:
             h_out = (x.shape[2] + 2 * self.padding - self.kh) // self.stride + 1
             w_out = (x.shape[3] + 2 * self.padding - self.kw) // self.stride + 1
@@ -174,28 +180,36 @@ class Conv2d(Layer):
                 stop = start + CONV_CHUNK
                 cols, _, _ = im2col(x[start:stop], self.kh, self.kw, self.stride,
                                     self.padding)
-                np.matmul(weight, cols, out=out[start:stop])
+                np.matmul(weight, cols.transpose(1, 0, 2), out=out[start:stop])
         out = out.reshape(x.shape[0], self.c_out, h_out, w_out)
         out += self.bias.value[None, :, None, None]
         return out
 
-    def backward(self, dout):
-        """Input gradient; a trainable layer also sets its `grad` buffers."""
+    def backward(self, dout, input_grad=True):
         from .tensor_core import col2im
 
         x_shape = self._kept(self._x_shape)
         dmat = dout.reshape(dout.shape[0], self.c_out, -1)
         if not self.frozen:
-            # one GEMM over all (image, pixel) pairs, image-major; moving the
-            # batch axis copies whole pixel rows, unlike a (B*Ho*Wo, K) transpose
+            # one GEMM over all (image, pixel) pairs, image-major: the k-major
+            # columns are that (K, B*Ho*Wo) matrix already; moving dout's batch
+            # axis copies whole pixel rows, unlike a (B*Ho*Wo, K) transpose
             cols = self._kept(self._cols)
-            k = cols.shape[1]
+            k = cols.shape[0]
             np.matmul(dmat.transpose(1, 0, 2).reshape(self.c_out, -1),
-                      cols.transpose(1, 0, 2).reshape(k, -1).T,
+                      cols.reshape(k, -1).T,
                       out=self.weight.grad.reshape(self.c_out, k))
             np.sum(dout, axis=(0, 2, 3), out=self.bias.grad)
-        dcols = self.weight.value.reshape(self.c_out, -1).T @ dmat
-        return col2im(dcols, x_shape, self.kh, self.kw, self.stride, self.padding)
+        if not input_grad:
+            return None
+        weight_t = self.weight.value.reshape(self.c_out, -1).T
+        dx = np.empty(x_shape)
+        for start in range(0, len(dx), DX_CHUNK):
+            part = dmat[start:start + DX_CHUNK]
+            dx[start:start + DX_CHUNK] = col2im(weight_t @ part,
+                                                part.shape[:1] + x_shape[1:], self.kh,
+                                                self.kw, self.stride, self.padding)
+        return dx
 
 
 class ReLU(Layer):
@@ -206,12 +220,17 @@ class ReLU(Layer):
         self._mask = None
 
     def forward(self, x, keep=True):
-        mask = x > 0
-        self._mask = mask if keep else None
-        return np.where(mask, x, 0.0)
+        # np.maximum and np.multiply do not branch per element, unlike
+        # np.where, whose branches mispredict on a random mask
+        self._mask = x > 0 if keep else None
+        return np.maximum(x, 0.0)
 
-    def backward(self, dout):
-        return np.where(self._kept(self._mask), dout, 0.0)
+    def backward(self, dout, input_grad=True):
+        if not input_grad:
+            return None
+        dx = np.multiply(dout, self._kept(self._mask))
+        dx += 0.0  # a negative dout where the mask is off gives -0.0: make it +0.0
+        return dx
 
 
 LAYERS = {cls.kind: cls for cls in (Linear, Conv2d, ReLU)}
@@ -297,7 +316,8 @@ class Network:
             x = layer.forward(x, self._keep)
         return x
 
-    def backward(self, dlogits, use_encoder=False, split_grad=None):
+    def backward(self, dlogits, use_encoder=False, split_grad=None,
+                 input_grad=True):
         """Backpropagate from the logits.  Each trainable layer on the walk
         writes its parameter gradients; frozen layers pass the input
         gradient only and never write their buffers.
@@ -308,22 +328,23 @@ class Network:
         gradient below the split is needed, so the walk stops there and the
         gradient with respect to the n1 output is returned.  Otherwise it
         goes on through n1 and returns the gradient with respect to the
-        network input.
+        network input.  With `input_grad` False that gradient is not read:
+        the walk's last layer sets its parameter gradients and computes no
+        input gradient, and None is returned.
         """
+        if use_encoder and self.encoder is None:
+            raise EncoderMissing("backward(use_encoder=True) without an encoder")
+        below = list(self.encoder) if use_encoder else []
+        if not all(layer.frozen for layer in self.n1):
+            below = self.n1 + below
+        last = (below or self.n2)[0]
         d = dlogits
         for layer in reversed(self.n2):
-            d = layer.backward(d)
+            d = layer.backward(d, input_grad or layer is not last)
         if split_grad is not None:
             d = d + split_grad.reshape(d.shape)
-        if use_encoder:
-            if self.encoder is None:
-                raise EncoderMissing("backward(use_encoder=True) without an encoder")
-            for layer in reversed(self.encoder):
-                d = layer.backward(d)
-        if all(layer.frozen for layer in self.n1):
-            return d
-        for layer in reversed(self.n1):
-            d = layer.backward(d)
+        for layer in reversed(below):
+            d = layer.backward(d, input_grad or layer is not last)
         return d
 
     def all_params(self, blocks=BLOCK_NAMES):

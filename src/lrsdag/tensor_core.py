@@ -33,13 +33,16 @@ def check_finite(x, op="tensor op"):
 
 
 def im2col(x, kh, kw, stride, padding):
-    """Unfold each image's sliding windows into a channel-major column matrix.
+    """Unfold the batch's sliding windows into k-major columns.
 
     x: (B, C, H, W). Returns (cols, h_out, w_out) where cols has shape
-    (B, C*kh*kw, h_out*w_out): one row per (channel, kernel row, kernel col)
-    in that order, one column per output pixel in row-major (h, w) order.
-    A (c_out, C*kh*kw) weight matrix times cols[b] is then image b's output
-    in (c_out, h_out, w_out) order, so NCHW needs only a reshape.
+    (C*kh*kw, B, h_out*w_out): one row block per (channel, kernel row,
+    kernel col) in that order, then one row per image, one column per
+    output pixel in row-major (h, w) order.  `cols.transpose(1, 0, 2)[b]`
+    is image b's (C*kh*kw, h_out*w_out) matrix, so a (c_out, C*kh*kw)
+    weight matrix times it is image b's output in (c_out, h_out, w_out)
+    order; `cols.reshape(C*kh*kw, -1)` is every (image, pixel) column
+    at once, image-major, without a copy.
     """
     if padding:
         b, c, h, w = x.shape
@@ -49,17 +52,19 @@ def im2col(x, kh, kw, stride, padding):
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride, :, :]
     b, c, h_out, w_out = win.shape[:4]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h_out * w_out)
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b, h_out * w_out)
     return np.ascontiguousarray(cols), h_out, w_out
 
 
 def col2im(cols, x_shape, kh, kw, stride, padding):
     """Scatter-add column gradients onto the input grid (adjoint of `im2col`).
 
-    cols: (B, C*kh*kw, h_out*w_out) in `im2col`'s layout. Overlapping
-    windows accumulate. For each kernel offset (i, j), in a fixed row-major
-    loop order, the contiguous (h_out, w_out) planes of every (B, C) are
-    added onto the strided input positions that offset reads.
+    cols: (B, C*kh*kw, h_out*w_out), image-major: `im2col`'s layout with
+    its first two axes swapped, as one GEMM per image produces it.
+    Overlapping windows accumulate. For each kernel offset (i, j), in a
+    fixed row-major loop order, the contiguous (h_out, w_out) planes of
+    every (B, C) are added onto the strided input positions that offset
+    reads.
     """
     b, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding

@@ -289,6 +289,24 @@ class TestAdaptEvaluate:
         assert f"frozen block {block}" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(run_dir, "adapted.npz"))
 
+    def test_nan_through_relu_exits_3(self, prep_dir, tmp_path, capsys):
+        # a NaN weight in N1's first conv: the ReLU passes its NaN channel
+        # on (np.where zeroed it, and adaptation ran to a plausible model)
+        # until `check_finite` stops the fit as a divergence
+        net = nn.build_cnn(seed=0)
+        net.n1[0].weight.value[3, 0, 1, 1] = np.nan
+        ckpt = tmp_path / "nan.npz"
+        nn.save_checkpoint(net, ckpt, meta={"phase": "source", "seed": 0})
+        cfg_path = tmp_path / "cnn.cfg"
+        cfg_path.write_text("model = cnn\nmax_adapt_epochs = 1\n"
+                            "batch_size = 16\nloss = cls\n")
+        run_dir = tmp_path / "run"
+        rc = run("adapt", "--config", str(cfg_path), "--data-dir", prep_dir,
+                 "--checkpoint", str(ckpt), "--run-dir", str(run_dir))
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (run_dir / "adapted.npz").exists()
+
     def test_adapted_checkpoint_exits_2(self, prep_dir, tiny_cfg_path,
                                         adapted_ckpt, tmp_path, capsys):
         # an encoder is attached only to a phase-1 model, which has none
@@ -373,6 +391,26 @@ class TestBaselineGrid:
         assert rc == 1
         assert flag in capsys.readouterr().err
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lrs", ","), ("--lrs", "nan"), ("--lrs", "-1"),
+        ("--weight-decays", "inf"), ("--weight-decays", "0,-0.5")])
+    def test_grid_search_bad_value_exits_1_before_reading_data(
+            self, tiny_cfg_path, tmp_path, capsys, flag, value):
+        # no grid, a non-finite or a negative value; the data dir does not
+        # exist, so reading it first would exit 2
+        values = {"--lrs": "0.001", "--weight-decays": "0", flag: value}
+        run_dir = tmp_path / "run"
+        rc = run("grid-search", "--config", tiny_cfg_path,
+                 "--data-dir", str(tmp_path / "no-data"),
+                 *(arg for item in values.items() for arg in item),
+                 "--run-dir", str(run_dir))
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_grid_values_may_be_zero(self):
+        assert cli._numbers("0,0.01") == [0.0, 0.01]
 
     def test_grid_search_adapted_checkpoint_exits_2(
             self, prep_dir, tiny_cfg_path, adapted_ckpt, tmp_path, capsys):

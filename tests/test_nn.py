@@ -312,6 +312,44 @@ class TestFrozenBackward:
         assert all(p.grad.any() for p in net.all_params(("encoder",)))
 
 
+FITS = pytest.mark.parametrize("build,fit", [
+    (build, fit) for build in (nn.build_fcn, nn.build_cnn)
+    for fit in ("phase1", "finetune", "adapt")],
+    ids=[f"{arch}-{fit}" for arch in ("fcn", "cnn")
+         for fit in ("phase1", "finetune", "adapt")])
+
+
+def fit_network(build, fit):
+    """(net, use_encoder) for one of the three networks `engine._train`
+    steps: all layers trainable, N1 frozen with N2 on f(x), and the
+    encoder between frozen halves."""
+    net = build(seed=0)
+    use_encoder = fit == "adapt"
+    if fit != "phase1":
+        nn.set_frozen(net, ("n1",), True)
+    if use_encoder:
+        nn.build_encoder(net, seed=1)
+        nn.set_frozen(net, ("n2",), True)
+    return net, use_encoder
+
+
+def training_step(net, use_encoder, input_grad=True):
+    """One forward and `Network.backward` the way `engine._train` runs
+    them; returns what the backward returns."""
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(4, 1, 32, 32))
+    if all(layer.frozen for layer in net.n1):
+        with net.inference():
+            f = net.forward_features(x)
+        split, logits = net.head(f, use_encoder=use_encoder)
+    else:
+        split, logits = net.forward(x)
+    split_grad = rng.normal(size=split.shape) if use_encoder else None
+    return net.backward(tc.cross_entropy_grad(logits, np.array([1, 4, 4, 9])),
+                        use_encoder=use_encoder, split_grad=split_grad,
+                        input_grad=input_grad)
+
+
 class TestGradientBuffers:
     """A backward sets the gradients of a trainable layer, so no value from
     an earlier step can reach `Adam`."""
@@ -333,37 +371,29 @@ class TestGradientBuffers:
                 == [p.grad.tobytes() for p in fresh.params()])
         assert all(not p.grad.any() for p in frozen.params())
 
-    @pytest.mark.parametrize("fit", ["phase1", "finetune", "adapt"])
-    @pytest.mark.parametrize("build", [nn.build_fcn, nn.build_cnn],
-                             ids=["fcn", "cnn"])
+    @FITS
     def test_training_step_sets_every_trainable_gradient(self, build, fit):
-        # the three networks `engine._train` steps: all layers trainable,
-        # N1 frozen with N2 on f(x), and the encoder between frozen halves
-        net = build(seed=0)
-        use_encoder = fit == "adapt"
-        if fit != "phase1":
-            nn.set_frozen(net, ("n1",), True)
-        if use_encoder:
-            nn.build_encoder(net, seed=1)
-            nn.set_frozen(net, ("n2",), True)
+        net, use_encoder = fit_network(build, fit)
         trainable = [p for layer in net.layers(use_encoder=use_encoder)
                      if not layer.frozen for p in layer.params()]
         for p in trainable:
             p.grad.fill(np.nan)
-        rng = np.random.default_rng(22)
-        x = rng.normal(size=(4, 1, 32, 32))
-        if fit == "phase1":
-            split, logits = net.forward(x)
-        else:
-            with net.inference():
-                f = net.forward_features(x)
-            split, logits = net.head(f, use_encoder=use_encoder)
-        split_grad = rng.normal(size=split.shape) if use_encoder else None
-        net.backward(tc.cross_entropy_grad(logits, np.array([1, 4, 4, 9])),
-                     use_encoder=use_encoder, split_grad=split_grad)
+        training_step(net, use_encoder)
         assert trainable and all(np.isfinite(p.grad).all() for p in trainable)
         assert all(not p.grad.any() for layer in net.layers(use_encoder=True)
                    if layer.frozen for p in layer.params())
+
+    @FITS
+    def test_no_input_gradient_sets_the_same_gradients(self, build, fit):
+        # the walk's last layer (N1[0], the encoder's first or N2[0]) skips
+        # only its input gradient, which `engine._train` never reads
+        grads = []
+        for input_grad in (True, False):
+            net, use_encoder = fit_network(build, fit)
+            d = training_step(net, use_encoder, input_grad)
+            assert (d is None) == (not input_grad)
+            grads.append([p.grad.tobytes() for p in net.all_params()])
+        assert grads[0] == grads[1]
 
 
 class TestFreezing:
@@ -401,6 +431,53 @@ class TestFreezing:
     def test_freeze_missing_encoder(self):
         with pytest.raises(nn.EncoderMissing):
             nn.set_frozen(nn.build_fcn(seed=0), ("encoder",), True)
+
+
+def where_relu_forward(self, x, keep=True):
+    """The np.where form of ReLU.forward: the reference whose parameter
+    bytes the branch-free ReLU must reproduce."""
+    mask = x > 0
+    self._mask = mask if keep else None
+    return np.where(mask, x, 0.0)
+
+
+def where_relu_backward(self, dout, input_grad=True):
+    return np.where(self._kept(self._mask), dout, 0.0)
+
+
+class TestReLU:
+    """ReLU is np.maximum forward and a mask product backward; on finite
+    inputs it gives np.where's bits up to the sign of a zero in dx."""
+
+    def test_maximum_of_negative_zero_is_positive_zero(self):
+        # the forward's zeros are np.where's +0.0 only while this holds
+        assert not np.signbit(np.maximum(-0.0, 0.0))
+        assert not np.signbit(np.maximum(np.full(1000, -0.0), 0.0)).any()
+
+    def test_nan_propagates(self):
+        relu = nn.ReLU()
+        out = relu.forward(np.array([[np.nan, -1.0, 2.0]]))
+        assert np.isnan(out[0, 0]) and out[0, 1:].tolist() == [0.0, 2.0]
+
+    def test_phase1_steps_match_where_relu(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(8, 1, 32, 32))
+        labels = rng.integers(0, 10, size=8)
+
+        def train():
+            net = nn.build_cnn(seed=2)
+            opt = nn.Adam(net.layers(), lr=1e-2)
+            for _ in range(3):
+                _, logits = net.forward(x)
+                net.backward(tc.cross_entropy_grad(logits, labels),
+                             input_grad=False)
+                opt.step()
+            return net.param_bytes()
+
+        branch_free = train()
+        monkeypatch.setattr(nn.ReLU, "forward", where_relu_forward)
+        monkeypatch.setattr(nn.ReLU, "backward", where_relu_backward)
+        assert train() == branch_free
 
 
 class TestLayerGradients:
@@ -657,3 +734,12 @@ class TestConvChunks:
         conv.frozen = False
         conv.forward(x)
         assert seen[6:] == [len(x)]
+
+    def test_input_gradient_dx_chunk_images_at_a_time(self, monkeypatch):
+        seen = []
+        orig = tc.col2im
+        monkeypatch.setattr(tc, "col2im", lambda c, *a: seen.append(len(c)) or orig(c, *a))
+        conv = nn.Conv2d(1, 2, 3, 3, 1, 1, rng=np.random.default_rng(0))
+        x = np.ones((2 * nn.DX_CHUNK + 3, 1, 5, 5))
+        conv.backward(np.ones_like(conv.forward(x)))
+        assert seen == [nn.DX_CHUNK, nn.DX_CHUNK, 3]

@@ -99,6 +99,58 @@ class TestConv2dReference:
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
+def image_major_conv(x, w, b, stride, padding, dout):
+    """(output, dx, dW, db) by the image-major im2col formula that Conv2d
+    used before its columns went k-major: (B, K, Ho*Wo) columns, one
+    `weight @ cols[b]` GEMM per image, the weight gradient against a
+    transposed copy of every column, and `col2im(W.T @ dmat)`."""
+    n = x.shape[0]
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    h_out, w_out = win.shape[2:4]
+    cols = np.ascontiguousarray(
+        win.transpose(0, 1, 4, 5, 2, 3).reshape(n, -1, h_out * w_out))
+    k = cols.shape[1]
+    weight = w.reshape(c_out, k)
+    out = (weight @ cols).reshape(n, c_out, h_out, w_out)
+    out += b[None, :, None, None]
+    dmat = dout.reshape(n, c_out, -1)
+    dw = (dmat.transpose(1, 0, 2).reshape(c_out, -1)
+          @ cols.transpose(1, 0, 2).reshape(k, -1).T).reshape(w.shape)
+    dx = tc.col2im(weight.T @ dmat, x.shape, kh, kw, stride, padding)
+    return out, dx, dw, dout.sum(axis=(0, 2, 3))
+
+
+class TestConv2dBits:
+    """Conv2d on k-major columns gives the bytes of the image-major formula:
+    the same GEMMs over the same values, only without the column copy."""
+
+    @pytest.mark.parametrize("batch", [1, 32, 33])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_equals_image_major_formula(self, batch, stride, padding):
+        rng = np.random.default_rng(100 * batch + 10 * stride + padding)
+        # 64 input channels: K = 576 columns, as in the CNN's widest layer
+        layer = nn.Conv2d(64, 8, 3, 3, stride=stride, padding=padding, rng=rng)
+        layer.bias.value[:] = rng.normal(size=8)
+        x = rng.normal(size=(batch, 64, 9, 9))
+        out = layer.forward(x)
+        dout = rng.normal(size=out.shape)
+        dx = layer.backward(dout)
+        ref = image_major_conv(x, layer.weight.value, layer.bias.value,
+                               stride, padding, dout)
+        got = (out, dx, layer.weight.grad, layer.bias.grad)
+        for name, g, r in zip(("out", "dx", "dW", "db"), got, ref):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes(), name
+        # the chunked path: no columns kept, in inference and when frozen
+        assert layer.forward(x, keep=False).tobytes() == ref[0].tobytes()
+        layer.frozen = True
+        assert layer.forward(x).tobytes() == ref[0].tobytes()
+        assert layer.backward(dout).tobytes() == ref[1].tobytes()
+
+
 class TestIm2col:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1, 2])
@@ -110,8 +162,9 @@ class TestIm2col:
         win = np.lib.stride_tricks.sliding_window_view(xp, (2, 3), axis=(2, 3))
         win = win[:, :, ::stride, ::stride]
         assert (h_out, w_out) == win.shape[2:4]
-        ref = win.transpose(0, 1, 4, 5, 2, 3).reshape(2, 3 * 2 * 3, h_out * w_out)
+        ref = win.transpose(1, 4, 5, 0, 2, 3).reshape(3 * 2 * 3, 2, h_out * w_out)
         np.testing.assert_array_equal(cols, ref)
+        assert cols.flags.c_contiguous
 
 
 class TestSoftmax:
