@@ -28,7 +28,7 @@ EXPERIMENTS = {
 }
 
 # accepted file names per role: the standard distribution names plus the
-# names our own demo corpus writer uses
+# names `glyphs.write_corpus` writes, whose paths it returns in this order
 _MNIST_NAMES = {
     "train_images": ("train-images-idx3-ubyte", "train-images.idx"),
     "train_labels": ("train-labels-idx1-ubyte", "train-labels.idx"),
@@ -146,10 +146,12 @@ def cmd_prepare_data(args):
     data.check_subsample_fraction(args.subsample_fraction)
     data.check_val_fraction(args.val_fraction)
     if args.demo_size:
-        glyphs.write_corpus(args.mnist_dir, n_train=args.demo_size,
-                            n_test=max(args.demo_size // 5, 10),
-                            seed=args.syn_seed)
-    paths = _find_mnist(args.mnist_dir)
+        corpus = glyphs.write_corpus(args.mnist_dir, n_train=args.demo_size,
+                                     n_test=max(args.demo_size // 5, 10),
+                                     seed=args.syn_seed)
+        paths = dict(zip(_MNIST_NAMES, corpus["train"] + corpus["test"]))
+    else:
+        paths = _find_mnist(args.mnist_dir)
 
     source_train = data.load_idx_dataset(paths["train_images"],
                                          paths["train_labels"],
@@ -284,7 +286,6 @@ def cmd_reproduce(args):
                               target=args.target_dir or args.data_dir)
     bundle = _load_bundle(args.data_dir, target_dir=args.target_dir)
     run_dir = _run_dir(args)
-    config_file.write_resolved(cfg, os.path.join(run_dir, "config-resolved.txt"))
     engine.reproduce(bundle, cfg, run_dir)
     with open(os.path.join(run_dir, "report.txt"), "r", encoding="utf-8") as fh:
         print(fh.read(), end="")

@@ -534,20 +534,24 @@ def _load_record(path):
         return None
 
 
-def ensure_pretrained(bundle, cfg, run_dir, trial):
-    """Train (once) and persist the phase-1 checkpoint for a trial.
-
-    The checkpoint records the hash of the config it was trained under;
-    an existing one from another config raises ConfigError.
-    """
+def _pretrained_path(cfg, run_dir, trial):
+    """Where a trial's phase-1 checkpoint goes.  It records the hash of
+    the config it was trained under; one already there from another
+    config raises ConfigError."""
     path = os.path.join(run_dir, "checkpoints", f"pretrained-trial{trial}.npz")
     want = config_hash(cfg)
+    got = nn.checkpoint_meta(path).get("config_hash") if os.path.exists(path) else want
+    if got != want:
+        raise ConfigError(f"{path} was trained under config {got}, this run is "
+                          f"{want}; rerun into a fresh run dir")
+    return path
+
+
+def ensure_pretrained(bundle, cfg, run_dir, trial):
+    """Train (once) and persist the phase-1 checkpoint for a trial; one
+    already there must be from `cfg` (see `_pretrained_path`)."""
+    path = _pretrained_path(cfg, run_dir, trial)
     if os.path.exists(path):
-        got = nn.checkpoint_meta(path).get("config_hash")
-        if got != want:
-            raise ConfigError(
-                f"{path} was trained under config {got}, this run is {want}; "
-                "rerun into a fresh run dir")
         return path
     _, history = _pretrain(bundle.source_train, cfg, cfg.seed + trial, path)
     _write_loss_csv(os.path.join(run_dir, f"source-loss-trial{trial}.csv"),
@@ -601,8 +605,7 @@ def _compute_cell(cell, bundle, cfg, run_dir, trial, cache):
 def _reproduce_trial(bundle, cfg, run_dir, trial, todo):
     """Compute the given cells of one trial; returns {cell: record}.
 
-    The trial's phase-1 checkpoint is trained or checked first, so one
-    from another config stops the run before any cell is computed.  The
+    The trial's phase-1 checkpoint is trained first, if missing.  The
     cells that do not start from phase 1 run next, before the trial's
     cache exists; then one Trial, over the splits the remaining cells
     read, serves them all.  It is freed when this returns.
@@ -625,16 +628,15 @@ def reproduce(bundle, cfg, run_dir):
 
     Completed cells are persisted as JSON under run_dir/cells and act as
     resume markers: re-running skips them, so an interrupted run picks
-    up where it stopped.  Every stored cell is read, in trial and then
-    inventory order, before any is computed: a truncated or unreadable
-    cell is computed again, and a cell or phase-1 checkpoint left by a
-    different config raises ConfigError naming the file.  The missing
-    cells are then computed trial by trial (see `_reproduce_trial`):
-    one phase-1 checkpoint and one Trial, N1 run once over each split,
-    serve all of a trial's pretrained cells, and one trial's cache is
-    alive at a time.
+    up where it stopped.  Every stored cell and phase-1 checkpoint is
+    read, in trial and then inventory order, before anything is written:
+    a truncated or unreadable cell is computed again, and a cell or
+    checkpoint left by a different config raises ConfigError naming the
+    file.  The missing cells are then computed trial by trial (see
+    `_reproduce_trial`): one phase-1 checkpoint and one Trial, N1 run
+    once over each split, serve all of a trial's pretrained cells, and
+    one trial's cache is alive at a time.
     """
-    os.makedirs(os.path.join(run_dir, "cells"), exist_ok=True)
     cells = _cells(cfg)
     records = [{} for _ in range(cfg.trials)]
     for trial, stored in enumerate(records):
@@ -647,6 +649,11 @@ def reproduce(bundle, cfg, run_dir):
                 raise ConfigError(f"{path} was computed under another config; "
                                   "rerun into a fresh run dir")
             stored[cell] = rec
+        _pretrained_path(cfg, run_dir, trial)
+    os.makedirs(os.path.join(run_dir, "cells"), exist_ok=True)
+    # config imports engine, so it is imported here, not at the top
+    from .config import write_resolved
+    write_resolved(cfg, os.path.join(run_dir, "config-resolved.txt"))
     for trial, stored in enumerate(records):
         todo = [c for c in cells if c not in stored]
         if todo:

@@ -13,17 +13,15 @@ import zipfile
 
 import numpy as np
 
+from . import tensor_core as tc
 from .data import atomic_open
 from .seeding import derive_rng
-from .tensor_core import check_finite
 
 BLOCK_NAMES = ("n1", "n2", "encoder")
 
-# images unfolded at a time by a conv forward that keeps no im2col columns
-CONV_CHUNK = 32
-# images whose input gradient a conv backward computes at a time, so that
-# col2im reads their column gradients while they are still in cache
-DX_CHUNK = 8
+# images a conv unfolds, and whose input gradient it computes, at a time,
+# so that each GEMM reads columns that are still in cache
+CHUNK = 8
 
 
 class NetworkError(Exception):
@@ -158,36 +156,32 @@ class Conv2d(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x, keep=True):
-        """The layer's output.  The im2col columns are read only for the
-        weight gradient: a trainable layer keeps them for its backward;
-        otherwise the batch is unfolded CONV_CHUNK images at a time."""
-        from .tensor_core import im2col
-
+        """The layer's output, unfolded CHUNK images at a time.  The im2col
+        columns are read only for the weight gradient: a trainable layer
+        unfolds each chunk into its slice of the batch's columns and keeps
+        them for its backward; any other layer into one reused buffer."""
+        kept = keep and not self.frozen
         self._x_shape = x.shape if keep else None
-        self._cols = None
-        weight = self.weight.value.reshape(self.c_out, -1)
+        self._cols = None  # freed before this batch's columns and `out` exist
+        b, k = len(x), self.c_in * self.kh * self.kw
+        h_out = (x.shape[2] + 2 * self.padding - self.kh) // self.stride + 1
+        w_out = (x.shape[3] + 2 * self.padding - self.kw) // self.stride + 1
+        cols = np.empty((k, b if kept else min(b, CHUNK), h_out * w_out))
+        self._cols = cols if kept else None
+        out = np.empty((b, self.c_out, h_out * w_out))
+        weight = self.weight.value.reshape(self.c_out, k)
         # one GEMM per image: folded into one (K, B*Ho*Wo) product, an image's
         # output would round differently with the batch size
-        if keep and not self.frozen:
-            self._cols, h_out, w_out = im2col(x, self.kh, self.kw, self.stride,
-                                              self.padding)
-            out = np.matmul(weight, self._cols.transpose(1, 0, 2))
-        else:
-            h_out = (x.shape[2] + 2 * self.padding - self.kh) // self.stride + 1
-            w_out = (x.shape[3] + 2 * self.padding - self.kw) // self.stride + 1
-            out = np.empty((x.shape[0], self.c_out, h_out * w_out))
-            for start in range(0, x.shape[0], CONV_CHUNK):
-                stop = start + CONV_CHUNK
-                cols, _, _ = im2col(x[start:stop], self.kh, self.kw, self.stride,
-                                    self.padding)
-                np.matmul(weight, cols.transpose(1, 0, 2), out=out[start:stop])
-        out = out.reshape(x.shape[0], self.c_out, h_out, w_out)
+        for start in range(0, b, CHUNK):
+            part = x[start:start + CHUNK]
+            at = cols[:, start:start + len(part)] if kept else cols[:, :len(part)]
+            tc.im2col(part, self.kh, self.kw, self.stride, self.padding, at)
+            np.matmul(weight, at.transpose(1, 0, 2), out=out[start:start + CHUNK])
+        out = out.reshape(b, self.c_out, h_out, w_out)
         out += self.bias.value[None, :, None, None]
         return out
 
     def backward(self, dout, input_grad=True):
-        from .tensor_core import col2im
-
         x_shape = self._kept(self._x_shape)
         dmat = dout.reshape(dout.shape[0], self.c_out, -1)
         if not self.frozen:
@@ -204,11 +198,11 @@ class Conv2d(Layer):
             return None
         weight_t = self.weight.value.reshape(self.c_out, -1).T
         dx = np.empty(x_shape)
-        for start in range(0, len(dx), DX_CHUNK):
-            part = dmat[start:start + DX_CHUNK]
-            dx[start:start + DX_CHUNK] = col2im(weight_t @ part,
-                                                part.shape[:1] + x_shape[1:], self.kh,
-                                                self.kw, self.stride, self.padding)
+        for start in range(0, len(dx), CHUNK):
+            part = dmat[start:start + CHUNK]
+            dx[start:start + CHUNK] = tc.col2im(weight_t @ part,
+                                                   part.shape[:1] + x_shape[1:], self.kh,
+                                                   self.kw, self.stride, self.padding)
         return dx
 
 
@@ -279,7 +273,7 @@ class Network:
     def inference(self):
         """Forward passes inside keep no backward cache: no backward will
         read one, so each layer drops what an earlier forward kept, and a
-        conv unfolds its batch CONV_CHUNK images at a time."""
+        conv unfolds its chunks into one reused buffer."""
         keep, self._keep = self._keep, False
         try:
             yield
@@ -306,7 +300,7 @@ class Network:
         split = x
         for layer in self.n2:
             x = layer.forward(x, self._keep)
-        check_finite(x, "network forward")
+        tc.check_finite(x, "network forward")
         return split, x
 
     def forward_features(self, batch):

@@ -29,20 +29,16 @@ class NonFiniteValue(TensorError):
 def check_finite(x, op="tensor op"):
     if not np.all(np.isfinite(x)):
         raise NonFiniteValue(f"{op} produced non-finite values")
-    return x
 
 
-def im2col(x, kh, kw, stride, padding):
-    """Unfold the batch's sliding windows into k-major columns.
-
-    x: (B, C, H, W). Returns (cols, h_out, w_out) where cols has shape
-    (C*kh*kw, B, h_out*w_out): one row block per (channel, kernel row,
-    kernel col) in that order, then one row per image, one column per
-    output pixel in row-major (h, w) order.  `cols.transpose(1, 0, 2)[b]`
-    is image b's (C*kh*kw, h_out*w_out) matrix, so a (c_out, C*kh*kw)
-    weight matrix times it is image b's output in (c_out, h_out, w_out)
-    order; `cols.reshape(C*kh*kw, -1)` is every (image, pixel) column
-    at once, image-major, without a copy.
+def im2col(x, kh, kw, stride, padding, out):
+    """Unfold the sliding windows of x (B, C, H, W) into `out`, any
+    (C*kh*kw, B, h_out*w_out) array, a strided slice of a larger one
+    included.  The columns are k-major: one row block per (channel,
+    kernel row, kernel col), one row per image, one column per output
+    pixel in row-major order.  `out.transpose(1, 0, 2)[b]` is image b's
+    (C*kh*kw, h_out*w_out) matrix, which a (c_out, C*kh*kw) weight
+    matrix turns into its output in (c_out, h_out, w_out) order.
     """
     if padding:
         b, c, h, w = x.shape
@@ -52,8 +48,9 @@ def im2col(x, kh, kw, stride, padding):
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride, :, :]
     b, c, h_out, w_out = win.shape[:4]
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b, h_out * w_out)
-    return np.ascontiguousarray(cols), h_out, w_out
+    # copy=False: NumPy raises rather than write into a temporary copy
+    out.reshape(c, kh, kw, b, h_out, w_out, copy=False)[...] = \
+        win.transpose(1, 4, 5, 0, 2, 3)
 
 
 def col2im(cols, x_shape, kh, kw, stride, padding):

@@ -11,12 +11,23 @@ import os
 import numpy as np
 import pytest
 
-from lrsdag import cli, config, data, engine, evaluate, losses, nn, sampling
+from lrsdag import cli, config, data, engine, evaluate, glyphs, losses, nn, sampling
 from lrsdag.seeding import derive_rng
 
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def tree_bytes(root):
+    """Every file under `root`, by path relative to it, with its bytes."""
+    out = {}
+    for parent, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(parent, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
 
 
 def read_prepared(data_dir, stem, name, split):
@@ -109,6 +120,27 @@ class TestPrepareData:
                  "--out-dir", out)
         assert rc == 2
         assert not os.path.exists(out)
+
+    def test_demo_corpus_wins_over_standard_archives(self, tmp_path):
+        """--demo-size reads the corpus it writes, not standard-named
+        archives already in --mnist-dir."""
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for split, count, images, labels in (
+                ("train", 50, "train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+                ("test", 12, "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")):
+            x, y = glyphs.generate_digits(count, seed=9)
+            data.write_idx(str(raw / images), x)
+            data.write_idx(str(raw / labels), y.astype(np.uint8))
+        outs = []
+        for name, mnist_dir in (("over", raw), ("empty", tmp_path / "fresh")):
+            outs.append(str(tmp_path / name))
+            assert run("prepare-data", "--mnist-dir", str(mnist_dir),
+                       "--out-dir", outs[-1], "--demo-size", "30",
+                       "--syn-seed", "3") == 0
+        assert tree_bytes(outs[0]) == tree_bytes(outs[1])
+        with open(os.path.join(outs[0], "manifest.json")) as fh:
+            assert json.load(fh)["counts"]["source-train"] == 30
 
     def test_bad_fraction_is_data_error(self, prep_dir, tmp_path):
         raw = os.path.dirname(prep_dir)
@@ -469,16 +501,47 @@ class TestReproduce:
         assert run("reproduce", "--experiment", "fcn-mnist-syn",
                    "--config", tiny_cfg_path, "--data-dir", prep_dir,
                    "--run-dir", run_dir) == 0
-        report = open(os.path.join(run_dir, "report.txt"), "rb").read()
         other = os.path.join(tmp_path, "other.cfg")
         with open(other, "w", encoding="utf-8") as fh:
             fh.write(open(tiny_cfg_path, encoding="utf-8").read() + "lr = 0.05\n")
-        capsys.readouterr()
+
+        def refused_naming(named):
+            before = tree_bytes(run_dir)
+            capsys.readouterr()
+            assert run("reproduce", "--experiment", "fcn-mnist-syn",
+                       "--config", other, "--data-dir", prep_dir,
+                       "--run-dir", run_dir) == 1
+            assert named in capsys.readouterr().err
+            # nothing is written, config-resolved.txt included
+            assert tree_bytes(run_dir) == before
+
+        refused_naming("cells")
+        # with the cells gone, the phase-1 checkpoint is what differs
+        for name in os.listdir(os.path.join(run_dir, "cells")):
+            os.remove(os.path.join(run_dir, "cells", name))
+        refused_naming("pretrained-trial0.npz")
+
+    def test_other_checkpoint_in_a_later_trial_computes_no_cell(
+            self, prep_dir, tiny_cfg_path, source_run, tmp_path, capsys):
+        """Trial 1's checkpoint from another config refuses the run before
+        trial 0, which has nothing stored, computes anything."""
+        two = os.path.join(tmp_path, "two.cfg")
+        with open(two, "w", encoding="utf-8") as fh:
+            fh.write(open(tiny_cfg_path, encoding="utf-8").read()
+                     .replace("trials = 1", "trials = 2"))
+        run_dir = os.path.join(tmp_path, "run")
+        os.makedirs(os.path.join(run_dir, "checkpoints"))
+        # trained under the one-trial config, so its config hash differs
+        with open(os.path.join(source_run, "source.npz"), "rb") as src, \
+                open(os.path.join(run_dir, "checkpoints",
+                                  "pretrained-trial1.npz"), "wb") as dst:
+            dst.write(src.read())
+        before = tree_bytes(run_dir)
         assert run("reproduce", "--experiment", "fcn-mnist-syn",
-                   "--config", other, "--data-dir", prep_dir,
+                   "--config", two, "--data-dir", prep_dir,
                    "--run-dir", run_dir) == 1
-        assert "cells" in capsys.readouterr().err
-        assert open(os.path.join(run_dir, "report.txt"), "rb").read() == report
+        assert "pretrained-trial1.npz" in capsys.readouterr().err
+        assert tree_bytes(run_dir) == before
 
     def test_unknown_experiment_is_usage_error(self, prep_dir):
         assert run("reproduce", "--experiment", "no-such",

@@ -142,9 +142,10 @@ class TestEvaluatePair:
 
     def test_cnn_peak_memory(self):
         # 150 images a domain in one 512-row batch: every conv unfolds
-        # CONV_CHUNK images at a time and keeps nothing, so the peak is
-        # about 61 MB; caching each layer's columns for the whole batch
-        # reached 333 MB, and kept 221 MB after the call
+        # nn.CHUNK images at a time into one reused buffer and keeps
+        # nothing, so the peak is about 39 MB (58 MB at 32 images a chunk);
+        # caching each layer's columns for the whole batch reached 333 MB,
+        # and kept 221 MB after the call
         net = nn.build_cnn(seed=6)
         source, target = balanced_dataset(150), balanced_dataset(150)
         tracemalloc.start()

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -702,8 +703,9 @@ class TestForwardCaches:
 
 
 class TestConvChunks:
-    """A conv forward that keeps no columns unfolds CONV_CHUNK images at a
-    time; each image's output is one GEMM either way."""
+    """A conv forward unfolds CHUNK images at a time, into its slice of the
+    columns a trainable layer keeps or into one reused buffer; each
+    image's output is one GEMM either way."""
 
     @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 70])
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
@@ -725,21 +727,43 @@ class TestConvChunks:
         orig = tc.im2col
         monkeypatch.setattr(tc, "im2col", lambda x, *a: seen.append(len(x)) or orig(x, *a))
         conv = nn.Conv2d(1, 2, 3, 3, 1, 1, rng=np.random.default_rng(0))
-        x = np.zeros((2 * nn.CONV_CHUNK + 6, 1, 5, 5))
+        x = np.random.default_rng(1).normal(size=(2 * nn.CHUNK + 3, 1, 5, 5))
+        chunks = [nn.CHUNK, nn.CHUNK, 3]
         conv.forward(x, keep=False)
-        assert seen == [nn.CONV_CHUNK, nn.CONV_CHUNK, 6]
+        assert seen == chunks and conv._cols is None
         conv.frozen = True
         conv.forward(x)
-        assert seen[3:] == [nn.CONV_CHUNK, nn.CONV_CHUNK, 6]
+        assert seen[3:] == chunks and conv._cols is None
         conv.frozen = False
         conv.forward(x)
-        assert seen[6:] == [len(x)]
+        assert seen[6:] == chunks
+        # the kept columns are one (K, B, Ho*Wo) array, each chunk in its slice
+        ref = np.empty((9, len(x), 25))
+        orig(x, 3, 3, 1, 1, ref)
+        assert conv._cols.shape == ref.shape and conv._cols.flags.c_contiguous
+        assert conv._cols.tobytes() == ref.tobytes()
+
+    def test_kept_columns_freed_before_the_next_are_made(self):
+        """The next kept forward frees the last batch's columns before it
+        makes its own, so two batches' columns never coexist."""
+        rng = np.random.default_rng(2)
+        conv = nn.Conv2d(16, 1, 3, 3, 1, 1, rng=rng)
+        x = rng.normal(size=(64, 16, 12, 12))
+        tracemalloc.start()
+        try:
+            conv.forward(x)
+            tracemalloc.reset_peak()
+            conv.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert conv._cols.nbytes < peak < 1.5 * conv._cols.nbytes
 
     def test_input_gradient_dx_chunk_images_at_a_time(self, monkeypatch):
         seen = []
         orig = tc.col2im
         monkeypatch.setattr(tc, "col2im", lambda c, *a: seen.append(len(c)) or orig(c, *a))
         conv = nn.Conv2d(1, 2, 3, 3, 1, 1, rng=np.random.default_rng(0))
-        x = np.ones((2 * nn.DX_CHUNK + 3, 1, 5, 5))
+        x = np.ones((2 * nn.CHUNK + 3, 1, 5, 5))
         conv.backward(np.ones_like(conv.forward(x)))
-        assert seen == [nn.DX_CHUNK, nn.DX_CHUNK, 3]
+        assert seen == [nn.CHUNK, nn.CHUNK, 3]

@@ -151,20 +151,42 @@ class TestConv2dBits:
         assert layer.backward(dout).tobytes() == ref[1].tobytes()
 
 
+def fresh_columns(x, kh, kw, stride, padding):
+    """im2col's columns for x in a fresh (C*kh*kw, B, h_out*w_out) array."""
+    _, c, h, w = x.shape
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    cols = np.full((c * kh * kw, len(x), h_out * w_out), np.nan)
+    tc.im2col(x, kh, kw, stride, padding, cols)
+    return cols
+
+
 class TestIm2col:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     def test_matches_np_pad_reference(self, stride, padding):
         """The zero-buffer padding gives the columns of an np.pad'ed input."""
         x = np.random.default_rng(20 + padding).normal(size=(2, 3, 7, 10))
-        cols, h_out, w_out = tc.im2col(x, 2, 3, stride, padding)
+        cols = fresh_columns(x, 2, 3, stride, padding)
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         win = np.lib.stride_tricks.sliding_window_view(xp, (2, 3), axis=(2, 3))
         win = win[:, :, ::stride, ::stride]
-        assert (h_out, w_out) == win.shape[2:4]
+        h_out, w_out = win.shape[2:4]
         ref = win.transpose(1, 4, 5, 0, 2, 3).reshape(3 * 2 * 3, 2, h_out * w_out)
         np.testing.assert_array_equal(cols, ref)
-        assert cols.flags.c_contiguous
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
+    def test_writes_into_a_strided_slice(self, stride, padding):
+        """Unfolded into images 3..5 of a wider array, the columns are the
+        bytes of a fresh array's, and every other column is untouched."""
+        x = np.random.default_rng(30 + stride).normal(size=(3, 2, 6, 5))
+        ref = fresh_columns(x, 3, 3, stride, padding)
+        wide = np.random.default_rng(31).normal(size=(18, 8, ref.shape[2]))
+        before = wide.copy()
+        tc.im2col(x, 3, 3, stride, padding, wide[:, 3:6])
+        assert wide[:, 3:6].tobytes() == ref.tobytes()
+        others = np.r_[0:3, 6:8]
+        assert wide[:, others].tobytes() == before[:, others].tobytes()
 
 
 class TestSoftmax:
