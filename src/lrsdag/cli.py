@@ -56,7 +56,7 @@ def _run_dir(args):
 def _load_config(args):
     if getattr(args, "config", None):
         return config_file.load(args.config)
-    return engine.ExperimentConfig()
+    return config_file.ExperimentConfig()
 
 
 def _find_mnist(mnist_dir):
@@ -204,7 +204,7 @@ def cmd_train_source(args):
     checkpoint = os.path.join(run_dir, "source.npz")
     _, history = engine._pretrain(source_train, cfg, cfg.seed, checkpoint)
     engine._write_loss_csv(os.path.join(run_dir, "source-loss.csv"), history)
-    config_file.write_resolved(cfg, os.path.join(run_dir, "config-resolved.txt"))
+    config_file.write_resolved(cfg, run_dir)
     final = history[-1] if history else float("nan")
     print(f"trained {cfg.model} for {cfg.source_epochs} epochs "
           f"(final loss {final:.6g}); checkpoint at {checkpoint}")
@@ -227,7 +227,7 @@ def cmd_adapt(args):
                        meta={"phase": "adapted", "loss": cfg.loss,
                              "sampling": cfg.sampling, "seed": cfg.seed})
     engine._write_loss_csv(os.path.join(run_dir, "adapt-loss.csv"), history)
-    config_file.write_resolved(cfg, os.path.join(run_dir, "config-resolved.txt"))
+    config_file.write_resolved(cfg, run_dir)
     print(f"adapted with {losses.LOSSES[cfg.loss].display}/{cfg.sampling} for "
           f"{len(history)} epochs; checkpoint at {adapted}")
     return 0
@@ -241,7 +241,7 @@ def cmd_baseline(args):
     evaluate.write_report([averaged], run_dir)
     engine._save_record(os.path.join(run_dir, f"baseline-{args.kind}.json"),
                         averaged)
-    config_file.write_resolved(cfg, os.path.join(run_dir, "config-resolved.txt"))
+    config_file.write_resolved(cfg, run_dir)
     acc = averaged.report.accuracy
     print(f"{averaged.method}: source {acc['source_without']:.2f} / "
           f"target {acc['target_without']:.2f}")
@@ -273,7 +273,7 @@ def cmd_grid_search(args):
                               method=args.method,
                               pretrained_path=args.checkpoint)
     run_dir = _run_dir(args)
-    config_file.write_resolved(best, os.path.join(run_dir, "best-config.txt"))
+    config_file.write_resolved(best, run_dir, "best-config.txt")
     print(f"best lr {best.lr!r}, weight_decay {best.weight_decay!r} "
           f"(written to {os.path.join(run_dir, 'best-config.txt')})")
     return 0
@@ -396,7 +396,7 @@ def main(argv=None):
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (config_file.ConfigFileError, engine.ConfigError) as exc:
+    except config_file.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except engine.NonFiniteLoss as exc:

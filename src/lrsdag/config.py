@@ -1,4 +1,5 @@
-"""Flat `key = value` experiment configuration files.
+"""The experiment configuration: its fields and checks, its one error
+family, its hash and its flat `key = value` file format.
 
 One assignment per line, `#` starts a comment, unknown keys are errors.
 An empty file resolves to all defaults, and every run writes back the
@@ -6,28 +7,88 @@ fully resolved configuration, which re-parses to identical settings.
 """
 
 import dataclasses
+import hashlib
+import json
+import math
+import os
 
-from . import data
-from .engine import ExperimentConfig
+from . import data, losses, nn, sampling
+
+MODELS = {"fcn": nn.build_fcn, "cnn": nn.build_cnn}
 
 
-class ConfigFileError(Exception):
-    """Base class for configuration file failures."""
+class ConfigError(Exception):
+    """A setting that cannot run; `line` is the file line at fault, if any."""
 
-
-class ParseError(ConfigFileError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
 
 
-class UnknownKey(ConfigFileError):
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+class ParseError(ConfigError):
+    pass
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+class UnknownKey(ParseError):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class ExperimentConfig:
+    """Hyperparameters and identifiers for one experiment."""
+
+    model: str = "fcn"
+    source: str = ""
+    target: str = ""
+    loss: str = "cls_kl"
+    sampling: str = "indirect"
+    lr: float = 1e-3
+    weight_decay: float = 0.0
+    batch_size: int = 128
+    source_epochs: int = 100
+    stop_threshold: float = 1e-3
+    max_adapt_epochs: int = 200
+    trials: int = 3
+    seed: int = 0
+    align_weight: float = 1.0
+    encoder_noise: float = 1e-2
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if f.type is str and ("#" in value or value != value.strip()
+                                  or len(value.splitlines()) > 1):
+                raise ConfigError(f"{f.name} must hold no '#', line break or outer "
+                                  f"whitespace, got {value!r}")
+        if self.model not in MODELS:
+            raise ConfigError(f"model must be one of {tuple(MODELS)}, got {self.model!r}")
+        if self.loss not in losses.LOSSES:
+            raise ConfigError(f"unknown loss kind {self.loss!r}")
+        if self.sampling not in sampling.SAMPLER_KINDS:
+            raise ConfigError(f"unknown sampling kind {self.sampling!r}")
+        for name in ("lr", "weight_decay", "align_weight", "encoder_noise"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be at least 1")
+        if self.source_epochs < 0:
+            raise ConfigError("source_epochs must be nonnegative")
+        if self.stop_threshold <= 0:
+            raise ConfigError("stop_threshold must be positive")
+        if self.max_adapt_epochs < 1:
+            raise ConfigError("max_adapt_epochs must be at least 1")
+        if self.trials < 1:
+            raise ConfigError("trials must be at least 1")
+
+    def snapshot(self):
+        return dataclasses.asdict(self)
+
+
+def config_hash(cfg):
+    return hashlib.sha256(
+        json.dumps(cfg.snapshot(), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def parse_assignments(text, types):
@@ -63,7 +124,8 @@ def parse_assignments(text, types):
 
 def parse_text(text):
     """Parse configuration text into an ExperimentConfig."""
-    return ExperimentConfig(**parse_assignments(text, _FIELD_TYPES))
+    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    return ExperimentConfig(**parse_assignments(text, types))
 
 
 def load(path):
@@ -85,5 +147,5 @@ def render(cfg):
     return "\n".join(lines) + "\n"
 
 
-def write_resolved(cfg, path):
-    data.atomic_write_text(path, render(cfg))
+def write_resolved(cfg, run_dir, name="config-resolved.txt"):
+    data.atomic_write_text(os.path.join(run_dir, name), render(cfg))

@@ -14,22 +14,17 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import data, evaluate, losses, nn, sampling
 from . import tensor_core as tc
+from .config import MODELS, ConfigError, ExperimentConfig, config_hash, write_resolved
 from .seeding import derive_int, derive_rng
-
-MODELS = {"fcn": nn.build_fcn, "cnn": nn.build_cnn}
 
 
 class EngineError(Exception):
-    pass
-
-
-class ConfigError(EngineError):
     pass
 
 
@@ -39,55 +34,6 @@ class NonFiniteLoss(EngineError):
     def __init__(self, message, epoch):
         super().__init__(message)
         self.epoch = epoch
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Hyperparameters and identifiers for one experiment."""
-
-    model: str = "fcn"
-    source: str = ""
-    target: str = ""
-    loss: str = "cls_kl"
-    sampling: str = "indirect"
-    lr: float = 1e-3
-    weight_decay: float = 0.0
-    batch_size: int = 128
-    source_epochs: int = 100
-    stop_threshold: float = 1e-3
-    max_adapt_epochs: int = 200
-    trials: int = 3
-    seed: int = 0
-    align_weight: float = 1.0
-    encoder_noise: float = 1e-2
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.model not in MODELS:
-            raise ConfigError(f"model must be one of {tuple(MODELS)}, got {self.model!r}")
-        if self.loss not in losses.LOSSES:
-            raise ConfigError(f"unknown loss kind {self.loss!r}")
-        if self.sampling not in sampling.SAMPLER_KINDS:
-            raise ConfigError(f"unknown sampling kind {self.sampling!r}")
-        for name in ("lr", "weight_decay", "align_weight", "encoder_noise"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.source_epochs < 0:
-            raise ConfigError("source_epochs must be nonnegative")
-        if self.stop_threshold <= 0:
-            raise ConfigError("stop_threshold must be positive")
-        if self.max_adapt_epochs < 1:
-            raise ConfigError("max_adapt_epochs must be at least 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
-
-    def snapshot(self):
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -119,19 +65,12 @@ class RunRecord:
 
 
 def build_model(model, seed):
-    if model not in MODELS:
-        raise ConfigError(f"unknown model {model!r}")
     return MODELS[model](seed)
 
 
 def checksum(net, blocks=("n1", "n2")):
     """SHA-256 over raw parameter bytes of the named blocks."""
     return hashlib.sha256(net.param_bytes(blocks)).hexdigest()
-
-
-def config_hash(cfg):
-    return hashlib.sha256(
-        json.dumps(cfg.snapshot(), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def stopping_check(history, threshold):
@@ -651,9 +590,7 @@ def reproduce(bundle, cfg, run_dir):
             stored[cell] = rec
         _pretrained_path(cfg, run_dir, trial)
     os.makedirs(os.path.join(run_dir, "cells"), exist_ok=True)
-    # config imports engine, so it is imported here, not at the top
-    from .config import write_resolved
-    write_resolved(cfg, os.path.join(run_dir, "config-resolved.txt"))
+    write_resolved(cfg, run_dir)
     for trial, stored in enumerate(records):
         todo = [c for c in cells if c not in stored]
         if todo:

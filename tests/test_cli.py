@@ -5,6 +5,7 @@ The corpus is the procedural digit generator, kept tiny so the whole
 suite stays fast.
 """
 
+import dataclasses
 import json
 import os
 
@@ -244,6 +245,8 @@ class TestAdaptEvaluate:
         assert after.encoder is not None
         assert meta["loss"] == "cls_kl"
         assert engine.checksum(before) == engine.checksum(after)
+        assert (config.load(os.path.join(run_dir, "config-resolved.txt"))
+                == config.load(tiny_cfg_path))
 
         rc = run("evaluate", "--checkpoint",
                  os.path.join(run_dir, "adapted.npz"),
@@ -388,6 +391,8 @@ class TestBaselineGrid:
                  "--run-dir", str(tmp_path))
         assert rc == 0
         assert os.path.exists(os.path.join(tmp_path, "baseline-finetune_n2.json"))
+        assert (config.load(os.path.join(tmp_path, "config-resolved.txt"))
+                == config.load(tiny_cfg_path))
 
     def test_grid_search_writes_best_config(self, prep_dir, tiny_cfg_path,
                                             tmp_path):
@@ -481,6 +486,11 @@ class TestReproduce:
         assert "CLS+KL" in out and "CORAL" in out
         report = open(os.path.join(first, "report.csv"), "rb").read()
         assert report.decode().count("\n") == 15  # header + 14 method rows
+        # the experiment sets the model and the flags the data dirs
+        resolved = config.load(os.path.join(first, "config-resolved.txt"))
+        assert resolved == dataclasses.replace(
+            config.load(tiny_cfg_path), model="fcn", source=prep_dir,
+            target=prep_dir)
 
         # resumed rerun reuses the cell cache and reproduces the bytes
         assert run("reproduce", "--experiment", "fcn-mnist-syn",
@@ -542,6 +552,17 @@ class TestReproduce:
                    "--run-dir", run_dir) == 1
         assert "pretrained-trial1.npz" in capsys.readouterr().err
         assert tree_bytes(run_dir) == before
+
+    def test_data_dir_its_config_file_cannot_hold_exits_1(self, tmp_path,
+                                                           capsys):
+        # a '#' would cut the written `source = ...` line short; the data
+        # dir does not exist, so reading it first would exit 2
+        run_dir = tmp_path / "run"
+        assert run("reproduce", "--experiment", "fcn-mnist-syn",
+                   "--data-dir", str(tmp_path / "x#y"),
+                   "--run-dir", str(run_dir)) == 1
+        assert "source must hold no '#'" in capsys.readouterr().err
+        assert not run_dir.exists()
 
     def test_unknown_experiment_is_usage_error(self, prep_dir):
         assert run("reproduce", "--experiment", "no-such",

@@ -2,11 +2,16 @@
 
 import dataclasses
 import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lrsdag import config
-from lrsdag.engine import ExperimentConfig
+import lrsdag
+from lrsdag import cli, config, losses, sampling
+from lrsdag.config import ExperimentConfig
 
 
 class TestParse:
@@ -87,9 +92,8 @@ class TestRoundTrip:
     def test_write_resolved_file_round_trip(self, tmp_path):
         cfg = dataclasses.replace(ExperimentConfig(), model="cnn", lr=0.00123,
                                   trials=7, loss="coral", sampling="random")
-        path = os.path.join(tmp_path, "resolved.txt")
-        config.write_resolved(cfg, path)
-        assert config.load(path) == cfg
+        config.write_resolved(cfg, tmp_path)
+        assert config.load(os.path.join(tmp_path, "config-resolved.txt")) == cfg
 
     def test_load_reads_utf8_file(self, tmp_path):
         path = os.path.join(tmp_path, "exp.txt")
@@ -98,3 +102,73 @@ class TestRoundTrip:
         cfg = config.load(path)
         assert cfg.model == "fcn"
         assert cfg.seed == 11
+
+    @pytest.mark.parametrize("field", ["source", "target"])
+    @pytest.mark.parametrize("value", [
+        "/tmp/a#b", " /tmp/x ", "/tmp/x\t", "a\nlr = 5", "a\rb", "a\x85b",
+        "a\u2028b", "\n"])
+    def test_text_that_its_file_line_would_change_is_refused(self, field, value):
+        # '#' starts a comment, a parsed value is stripped, and a line
+        # break would end the line
+        with pytest.raises(config.ConfigError, match=field):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["", "data/prepared", "my data/a=b", "ä/ø"])
+    def test_text_with_inner_spaces_and_equals_round_trips(self, value):
+        cfg = ExperimentConfig(source=value, target=value)
+        assert config.parse_text(config.render(cfg)) == cfg
+
+
+def _field_values():
+    """Every field of ExperimentConfig: the tables' names, text with '#',
+    whitespace and line breaks in it, finite floats and ints."""
+    awkward = st.sampled_from("#= \t\n\r\x0b\x0c\x85\u2028/.a")
+    text = st.text(awkward | st.characters(codec="utf-8"), max_size=8)
+    # no float field may be negative; checks refuse the rest
+    floats = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(
+        [0.1 + 0.2, 1e-7, 3.3e-45, 5e-324, -0.0, 1.7976931348623157e308])
+    kinds = {str: text, float: floats, int: st.integers(-1, 2**40)}
+    named = {"model": tuple(config.MODELS), "loss": tuple(losses.LOSSES),
+             "sampling": sampling.SAMPLER_KINDS}
+    return st.fixed_dictionaries({
+        f.name: st.sampled_from(named[f.name]) if f.name in named
+        else kinds[f.type] for f in dataclasses.fields(ExperimentConfig)})
+
+
+@given(values=_field_values())
+@settings(max_examples=300, deadline=None)
+def test_every_config_survives_its_file(values):
+    """A config either cannot be made, or its rendered file parses back
+    to it and to its hash."""
+    try:
+        cfg = ExperimentConfig(**values)
+    except config.ConfigError:
+        return
+    again = config.parse_text(config.render(cfg))
+    assert again == cfg
+    assert config.config_hash(again) == config.config_hash(cfg)
+
+
+class TestModule:
+    def test_importing_config_loads_no_engine(self):
+        src = os.path.dirname(os.path.dirname(lrsdag.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, lrsdag.config; print(sorted(sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert "'lrsdag.config'" in out
+        assert "'lrsdag.engine'" not in out
+
+    @pytest.mark.parametrize("error, line", [
+        (config.ConfigError, None), (config.ParseError, 3),
+        (config.UnknownKey, 4)])
+    def test_every_config_error_exits_1(self, monkeypatch, capsys, error, line):
+        def refuse(args):
+            raise error("bad setting", line)
+
+        monkeypatch.setattr(cli, "cmd_evaluate", refuse)
+        assert cli.main(["evaluate", "--checkpoint", "c.npz",
+                         "--data-dir", "d"]) == 1
+        assert "configuration error: bad setting" in capsys.readouterr().err
+        assert error("bad setting", line).line == line
