@@ -107,22 +107,12 @@ def _numbers(text):
     return values
 
 
-def _write_pair(out_dir, stem, ds):
-    images_path = os.path.join(out_dir, f"{stem}-images.idx")
-    labels_path = os.path.join(out_dir, f"{stem}-labels.idx")
-    data.write_idx(images_path, ds.images[:, 0])
-    data.write_idx(labels_path, ds.labels.astype(np.uint8))
-    return [f"{stem}-images.idx", f"{stem}-labels.idx"]
-
-
 def _load_prepared(data_dir, name, stem=None):
     """Split `name`, say "target_val" (domain "target", split "val"),
     preprocessed, from the IDX pair `stem` (by default "target-val")."""
     domain, split = name.split("_")
     stem = stem or f"{domain}-{split}"
-    raw = data.load_idx_dataset(os.path.join(data_dir, f"{stem}-images.idx"),
-                                os.path.join(data_dir, f"{stem}-labels.idx"),
-                                domain, split)
+    raw = data.load_idx_dataset(*data.idx_pair(data_dir, stem), domain, split)
     return dataclasses.replace(raw, images=data.preprocess(raw.images))
 
 
@@ -174,7 +164,12 @@ def cmd_prepare_data(args):
               ("target-tune", target_tune), ("target-val", target_val),
               ("target-test", target_test))
     os.makedirs(args.out_dir, exist_ok=True)
-    files = {stem: _write_pair(args.out_dir, stem, ds) for stem, ds in splits}
+    files = {}
+    for stem, ds in splits:
+        images_path, labels_path = data.idx_pair(args.out_dir, stem)
+        data.write_idx(images_path, ds.images[:, 0])
+        data.write_idx(labels_path, ds.labels.astype(np.uint8))
+        files[stem] = [os.path.basename(images_path), os.path.basename(labels_path)]
     manifest = {
         "syn_seed": args.syn_seed,
         "target_test_seed": test_params.seed,

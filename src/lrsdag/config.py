@@ -59,9 +59,11 @@ class ExperimentConfig:
             if f.type is float and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
             if f.type is str and ("#" in value or value != value.strip()
-                                  or len(value.splitlines()) > 1):
-                raise ConfigError(f"{f.name} must hold no '#', line break or outer "
-                                  f"whitespace, got {value!r}")
+                                  or len(value.splitlines()) > 1
+                                  or value.encode("utf-8", "replace").decode() != value):
+                raise ConfigError(f"{f.name} must hold no '#', line break, outer "
+                                  f"whitespace or character UTF-8 cannot encode, "
+                                  f"got {value!r}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {tuple(MODELS)}, got {self.model!r}")
         if self.loss not in losses.LOSSES:

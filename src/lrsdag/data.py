@@ -338,6 +338,12 @@ def split_train_val(ds, val_fraction, seed):
     return ds.select(train_idx, split="train"), ds.select(val_idx, split="val")
 
 
+def idx_pair(directory, stem):
+    """The images and labels IDX paths of the pair `stem` in `directory`."""
+    return (os.path.join(directory, f"{stem}-images.idx"),
+            os.path.join(directory, f"{stem}-labels.idx"))
+
+
 def load_idx_dataset(images_path, labels_path, name, split):
     """Build a Dataset from an images/labels IDX file pair."""
     images = read_idx(images_path)

@@ -100,21 +100,25 @@ def _train(net, ds, cfg, seed, tag, epochs, align=None, min_rows=1,
     """The loop of both phases; returns the per-epoch mean loss.
 
     Each step takes the cross-entropy plus, given `align(split, n)`, the
-    weighted alignment value and split gradient it returns; `align` also
-    puts the encoder in the forward, backward and optimizer.  Batches
-    under `min_rows` rows are skipped; frozen layers never step.  The
-    parameters of every frozen layer are copied before the loop, and
-    EngineError, naming the block, is raised if any bit of them differs
-    after it (so even 0.0 -> -0.0 counts as a change).
+    weighted alignment value and split gradient it returns; the encoder,
+    when the network has one, runs in the forward and backward.  Batches
+    under `min_rows` rows are skipped.  One pass over the blocks decides
+    what trains: the optimizer gets the parameters of every layer not
+    frozen, and the parameters of every frozen layer are copied; after
+    the loop EngineError, naming the block, is raised if any bit of them
+    differs (so even 0.0 -> -0.0 counts as a change).
     """
-    frozen = [(name, p, p.value.copy())
-              for name, layers in net.blocks().items()
-              for layer in layers if layer.frozen for p in layer.params()]
-    use_encoder = align is not None
-    opt = nn.Adam(net.layers(use_encoder=use_encoder), lr=cfg.lr,
-                  weight_decay=cfg.weight_decay)
+    frozen, trainable = [], []
+    for name, layers in net.blocks().items():
+        for layer in layers:
+            if layer.frozen:
+                frozen += [(name, p, p.value.copy()) for p in layer.params()]
+            else:
+                trainable += layer.params()
+    use_encoder = net.encoder is not None
     shuffle_seed = derive_int(seed, "epochs", tag)
     inputs, run = _training_inputs(net, ds)
+    opt = nn.Adam(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay)
     history = []
     for epoch in range(epochs):
         total, count = 0.0, 0

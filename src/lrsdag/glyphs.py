@@ -141,8 +141,7 @@ def write_corpus(out_dir, n_train, n_test, seed):
     paths = {}
     for split, count, tag in (("train", n_train, 0), ("test", n_test, 1)):
         images, labels = generate_digits(count, seed + tag)
-        image_path = os.path.join(out_dir, f"{split}-images.idx")
-        label_path = os.path.join(out_dir, f"{split}-labels.idx")
+        image_path, label_path = data.idx_pair(out_dir, split)
         data.write_idx(image_path, images)
         data.write_idx(label_path, labels.astype(np.uint8))
         paths[split] = (image_path, label_path)

@@ -23,6 +23,9 @@ BLOCK_NAMES = ("n1", "n2", "encoder")
 # so that each GEMM reads columns that are still in cache
 CHUNK = 8
 
+# Adam's moment decay rates and the floor of its denominator
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 class NetworkError(Exception):
     pass
@@ -265,10 +268,6 @@ class Network:
             out["encoder"] = self.encoder
         return out
 
-    def layers(self, use_encoder=False):
-        enc = self.encoder if use_encoder else []
-        return self.n1 + list(enc or []) + self.n2
-
     @contextlib.contextmanager
     def inference(self):
         """Forward passes inside keep no backward cache: no backward will
@@ -430,76 +429,63 @@ def set_frozen(network, blocks, frozen):
 
 
 class Adam:
-    """Adam with decoupled weight decay over the layers it is given.
+    """Adam with decoupled weight decay over the parameters it is given;
+    the caller decides what trains, and nothing else ever changes here.
+    lr=0 is the identity.
 
-    Frozen layers are skipped at step time, so their parameters stay
-    bit-identical no matter how many steps run. lr=0 is the identity.
-
-    The update runs in place: each parameter keeps its moments `m` and
+    The update runs in place: each parameter has its moments `m` and
     `v`, and every temporary lives in two float scratch buffers and one
-    bool buffer shared by all parameters of the optimizer, sized to the
-    largest trainable one (about 2 x its bytes, plus one byte per element).
-    Each element sees the operations of the textbook formula in the same
-    order, so the result is bit-identical to
+    bool buffer shared by all parameters, sized to the largest (about
+    2 x its bytes, plus one byte per element); all of them are made
+    here.  Each element sees the operations of the textbook formula in
+    the same order, so the result is bit-identical to
 
         m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
         p -= lr * (m / c1) / (sqrt(v / c2) + eps);  p -= lr * wd * p_old
 
-    with c1 = 1 - b1**t, c2 = 1 - b2**t.  A step is all or nothing: every
-    trainable gradient is checked before any parameter or moment changes,
-    and a non-finite one raises NonFiniteGradient.
+    with b1, b2, eps = BETA1, BETA2, EPSILON and c1 = 1 - b1**t,
+    c2 = 1 - b2**t at step t.  A step is all or nothing: every gradient is
+    checked before any parameter or moment changes, and a non-finite one
+    raises NonFiniteGradient.
     """
 
-    def __init__(self, layers, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8,
-                 weight_decay=0.0):
-        self.layers = list(layers)
+    def __init__(self, params, lr=1e-3, weight_decay=0.0):
+        self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.weight_decay = weight_decay
-        self._state = {}
-        self._scratch = (np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+        self.t = 0
+        self.m = [np.zeros(p.value.shape) for p in self.params]
+        self.v = [np.zeros(p.value.shape) for p in self.params]
+        size = max((p.value.size for p in self.params), default=0)
+        self._scratch = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
 
     def step(self):
-        params = [p for layer in self.layers if not layer.frozen
-                  for p in layer.params()]
-        size = max((p.value.size for p in params), default=0)
-        if self._scratch[0].size < size:
-            self._scratch = (np.empty(size), np.empty(size),
-                             np.empty(size, dtype=bool))
-        for p in params:
+        for p in self.params:
             ok = self._scratch[2][:p.grad.size].reshape(p.grad.shape)
             np.isfinite(p.grad, out=ok)
             if not ok.all():
                 raise NonFiniteGradient("non-finite gradient in Adam step")
-        b1, b2, lr = self.beta1, self.beta2, self.lr
-        for p in params:
+        self.t += 1
+        c1, c2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            state = self._state.get(id(p))
-            if state is None:
-                state = {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": 0}
-                self._state[id(p)] = state
-            state["t"] += 1
-            t = state["t"]
-            m, v = state["m"], state["v"]
             a, b = (buf[:g.size].reshape(g.shape) for buf in self._scratch[:2])
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=a)
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=a)
             m += a
-            np.multiply(g, 1.0 - b2, out=a)
+            np.multiply(g, 1.0 - BETA2, out=a)
             a *= g
-            v *= b2
+            v *= BETA2
             v += a
-            np.divide(m, 1.0 - b1 ** t, out=a)
-            np.divide(v, 1.0 - b2 ** t, out=b)
+            np.divide(m, c1, out=a)
+            np.divide(v, c2, out=b)
             np.sqrt(b, out=b)
-            b += self.epsilon
-            a *= lr
+            b += EPSILON
+            a *= self.lr
             a /= b
             if self.weight_decay:
                 # decoupled decay of the pre-update weights (AdamW)
-                np.multiply(p.value, lr * self.weight_decay, out=b)
+                np.multiply(p.value, self.lr * self.weight_decay, out=b)
             p.value -= a
             if self.weight_decay:
                 p.value -= b

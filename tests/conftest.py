@@ -10,11 +10,11 @@ from lrsdag import nn
 
 @pytest.fixture
 def tamper_frozen(monkeypatch, tmp_path):
-    """`tamper(case, ckpt)` patches `nn.Adam.step` so that its first call,
-    after stepping, changes one frozen value; returns the checkpoint to
-    start from and the name of the block that changed.
+    """`tamper(case, ckpt)` patches `nn.Network.backward` so that its first
+    call, once it has returned, changes one frozen value of the network;
+    returns the checkpoint to start from and the name of the block that
+    changed.
 
-    The optimizer of a fit holds the layers N1 first and N2 last.
     "n2_ulp" moves the first weight of the last N2 layer up one ulp.
     "n1_signed_zero" turns the first bias of the first N1 layer from 0.0,
     set in a copy of `ckpt`, to -0.0, which == cannot tell apart.
@@ -23,8 +23,8 @@ def tamper_frozen(monkeypatch, tmp_path):
         if case == "n2_ulp":
             block = "n2"
 
-            def change(layers):
-                w = layers[-1].weight.value
+            def change(net):
+                w = net.n2[-1].weight.value
                 w.flat[0] = np.nextafter(w.flat[0], np.inf)
         elif case == "n1_signed_zero":
             block = "n1"
@@ -33,20 +33,21 @@ def tamper_frozen(monkeypatch, tmp_path):
             ckpt = str(tmp_path / "zero-bias.npz")
             nn.save_checkpoint(net, ckpt, meta=meta)
 
-            def change(layers):
-                layers[0].bias.value[0] = -0.0
+            def change(net):
+                net.n1[0].bias.value[0] = -0.0
         else:
             raise ValueError(case)
-        orig = nn.Adam.step
+        orig = nn.Network.backward
         done = []
 
-        def step(self):
-            orig(self)
+        def backward(self, *args, **kwargs):
+            d = orig(self, *args, **kwargs)
             if not done:
-                change(self.layers)
+                change(self)
                 done.append(True)
+            return d
 
-        monkeypatch.setattr(nn.Adam, "step", step)
+        monkeypatch.setattr(nn.Network, "backward", backward)
         return ckpt, block
 
     return tamper

@@ -564,6 +564,17 @@ class TestReproduce:
         assert "source must hold no '#'" in capsys.readouterr().err
         assert not run_dir.exists()
 
+    def test_data_dir_utf8_cannot_encode_exits_1(self, tmp_path, capsys):
+        # Python decodes the byte 0xff of a non-UTF-8 argv to the lone
+        # surrogate U+DCFF, which config-resolved.txt could not hold
+        run_dir = tmp_path / "run"
+        assert run("reproduce", "--experiment", "fcn-mnist-syn",
+                   "--data-dir", str(tmp_path / "pre\udcffpared"),
+                   "--run-dir", str(run_dir)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: source" in err and "UTF-8" in err
+        assert not run_dir.exists()
+
     def test_unknown_experiment_is_usage_error(self, prep_dir):
         assert run("reproduce", "--experiment", "no-such",
                    "--data-dir", prep_dir) == 1

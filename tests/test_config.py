@@ -106,10 +106,11 @@ class TestRoundTrip:
     @pytest.mark.parametrize("field", ["source", "target"])
     @pytest.mark.parametrize("value", [
         "/tmp/a#b", " /tmp/x ", "/tmp/x\t", "a\nlr = 5", "a\rb", "a\x85b",
-        "a\u2028b", "\n"])
+        "a\u2028b", "\n", "data/\udcff"])
     def test_text_that_its_file_line_would_change_is_refused(self, field, value):
-        # '#' starts a comment, a parsed value is stripped, and a line
-        # break would end the line
+        # '#' starts a comment, a parsed value is stripped, a line break
+        # would end the line, and a lone surrogate (what Python makes of
+        # a non-UTF-8 byte in argv) cannot be written as UTF-8
         with pytest.raises(config.ConfigError, match=field):
             ExperimentConfig(**{field: value})
 
@@ -121,9 +122,11 @@ class TestRoundTrip:
 
 def _field_values():
     """Every field of ExperimentConfig: the tables' names, text with '#',
-    whitespace and line breaks in it, finite floats and ints."""
+    whitespace, line breaks and lone surrogates in it, finite floats and
+    ints."""
     awkward = st.sampled_from("#= \t\n\r\x0b\x0c\x85\u2028/.a")
-    text = st.text(awkward | st.characters(codec="utf-8"), max_size=8)
+    text = st.text(awkward | st.characters(codec="utf-8")
+                   | st.characters(categories=["Cs"]), max_size=8)
     # no float field may be negative; checks refuse the rest
     floats = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(
         [0.1 + 0.2, 1e-7, 3.3e-45, 5e-324, -0.0, 1.7976931348623157e308])
@@ -138,13 +141,15 @@ def _field_values():
 @given(values=_field_values())
 @settings(max_examples=300, deadline=None)
 def test_every_config_survives_its_file(values):
-    """A config either cannot be made, or its rendered file parses back
-    to it and to its hash."""
+    """A config either cannot be made, or its rendered file can be
+    written as UTF-8 and parses back to it and to its hash."""
     try:
         cfg = ExperimentConfig(**values)
     except config.ConfigError:
         return
-    again = config.parse_text(config.render(cfg))
+    text = config.render(cfg)
+    assert text.encode("utf-8").decode("utf-8") == text
+    again = config.parse_text(text)
     assert again == cfg
     assert config.config_hash(again) == config.config_hash(cfg)
 

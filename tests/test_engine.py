@@ -194,7 +194,7 @@ class TestAdapt:
                          quick_cfg(loss="cls_kl"), seed=0)
         # the rejected call leaves the caller's network as it was
         assert net.encoder is None
-        assert not any(layer.frozen for layer in net.layers())
+        assert not any(layer.frozen for layer in net.n1 + net.n2)
 
 
 class TestForwardCaches:
@@ -228,7 +228,7 @@ def reference_adapt(net, ds, sampler, cfg, seed):
     needs_sampler = losses.LOSSES[cfg.loss].needs_sampler
     nn.build_encoder(net, seed, noise_scale=cfg.encoder_noise)
     nn.set_frozen(net, ("n1", "n2"), True)
-    opt = nn.Adam(net.layers(use_encoder=True), lr=cfg.lr,
+    opt = nn.Adam(net.all_params(("encoder",)), lr=cfg.lr,
                   weight_decay=cfg.weight_decay)
     shuffle_seed = derive_int(seed, "epochs", "adapt")
     history = []
@@ -405,6 +405,40 @@ class TestFreezeCheck:
             engine.run_baseline("finetune_n2", bundle,
                                 quick_cfg(max_adapt_epochs=2),
                                 pretrained_path=ckpt)
+
+
+class TestOptimizerSplit:
+    """`_train` decides once what trains: the optimizer it builds holds
+    the parameters of exactly the layers not frozen, each once."""
+
+    @pytest.mark.parametrize("fit,blocks", [
+        ("phase1", ("n1", "n2")),
+        ("target_trained", ("n1", "n2")),
+        ("finetune_n2", ("n2",)),
+        ("lrsdag", ("encoder",)),
+    ], ids=["phase1", "target_trained", "finetune_n2", "lrsdag"])
+    def test_adam_holds_the_trainable_parameters(self, pretrained, monkeypatch,
+                                                 fit, blocks):
+        path, bundle = pretrained
+        built = []
+
+        class Recorded(nn.Adam):
+            def __init__(self, params, **kwargs):
+                super().__init__(params, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(nn, "Adam", Recorded)
+        cfg = quick_cfg(loss="cls", source_epochs=1, max_adapt_epochs=1)
+        if fit == "phase1":
+            net, _ = engine.train_source(engine.build_model("fcn", seed=1),
+                                         bundle.source_train, cfg)
+        else:
+            net, _ = engine._fit(bundle, cfg, fit, 0,
+                                 engine.Trial.start(bundle, cfg, 0, path))
+        [opt] = built
+        expected = net.all_params(blocks)
+        assert len(opt.params) == len(expected) == len({id(p) for p in opt.params})
+        assert {id(p) for p in opt.params} == {id(p) for p in expected}
 
 
 def trials_from(bundle, cfg, paths):

@@ -43,7 +43,7 @@ class TestAccuracy:
 
     def test_constant_predictor_on_balanced_data(self):
         net = nn.build_fcn(seed=0)
-        for layer in net.layers():
+        for layer in net.n1 + net.n2:
             layer.weight.value[:] = 0.0
             layer.bias.value[:] = 0.0
         assert evaluate.accuracy(net, balanced_dataset()) == 10.0

@@ -41,7 +41,7 @@ class TestBuilders:
 
     def test_fcn_has_no_activations(self):
         net = nn.build_fcn(seed=0)
-        assert all(isinstance(l, nn.Linear) for l in net.layers())
+        assert all(isinstance(l, nn.Linear) for l in net.n1 + net.n2)
 
     def test_fcn_deterministic(self):
         a, b = nn.build_fcn(seed=7), nn.build_fcn(seed=7)
@@ -149,38 +149,44 @@ class ReferenceAdam:
     """The allocating Adam update that `nn.Adam` replaced; the in-place one
     must match it bit for bit."""
 
-    def __init__(self, layers, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8,
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8,
                  weight_decay=0.0):
-        self.layers = list(layers)
+        self.params = list(params)
         self.lr, self.beta1, self.beta2 = lr, beta1, beta2
         self.epsilon, self.weight_decay = epsilon, weight_decay
         self._state = {}
 
     def step(self):
-        for layer in self.layers:
-            if layer.frozen:
-                continue
-            for p in layer.params():
-                g = p.grad
-                state = self._state.setdefault(
-                    id(p), {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": 0})
-                state["t"] += 1
-                t = state["t"]
-                state["m"] = self.beta1 * state["m"] + (1.0 - self.beta1) * g
-                state["v"] = self.beta2 * state["v"] + (1.0 - self.beta2) * g * g
-                m_hat = state["m"] / (1.0 - self.beta1 ** t)
-                v_hat = state["v"] / (1.0 - self.beta2 ** t)
-                decay = self.lr * self.weight_decay * p.value if self.weight_decay else None
-                p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
-                if decay is not None:
-                    p.value -= decay
+        for p in self.params:
+            g = p.grad
+            state = self._state.setdefault(
+                id(p), {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": 0})
+            state["t"] += 1
+            t = state["t"]
+            state["m"] = self.beta1 * state["m"] + (1.0 - self.beta1) * g
+            state["v"] = self.beta2 * state["v"] + (1.0 - self.beta2) * g * g
+            m_hat = state["m"] / (1.0 - self.beta1 ** t)
+            v_hat = state["v"] / (1.0 - self.beta2 ** t)
+            decay = self.lr * self.weight_decay * p.value if self.weight_decay else None
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            if decay is not None:
+                p.value -= decay
 
 
-def mixed_layers(seed):
-    """FCN- and CNN-shaped layers of several sizes; the largest comes last."""
+def mixed_params(seed):
+    """The parameters of FCN- and CNN-shaped layers of several sizes; the
+    largest comes last."""
     rng = np.random.default_rng(seed)
-    return [nn.Linear(48, 10, rng), nn.Conv2d(3, 8, 3, 3, rng=rng),
-            nn.Linear(64, 48, rng), nn.Conv2d(8, 16, 5, 5, rng=rng)]
+    layers = [nn.Linear(48, 10, rng), nn.Conv2d(3, 8, 3, 3, rng=rng),
+              nn.Linear(64, 48, rng), nn.Conv2d(8, 16, 5, 5, rng=rng)]
+    return [p for layer in layers for p in layer.params()]
+
+
+def trainable_params(net):
+    """What `engine._train` hands its optimizer: the parameters of every
+    layer not frozen."""
+    return [p for layers in net.blocks().values() for layer in layers
+            if not layer.frozen for p in layer.params()]
 
 
 class TestAdam:
@@ -192,7 +198,7 @@ class TestAdam:
     def test_zero_gradient_fixed_point(self):
         layer = self._layer_with_grad(0.0)
         before = layer.weight.value.copy()
-        nn.Adam([layer], lr=0.1).step()
+        nn.Adam(layer.params(), lr=0.1).step()
         np.testing.assert_array_equal(layer.weight.value, before)
 
     def test_first_step_magnitude(self):
@@ -200,9 +206,9 @@ class TestAdam:
         g = np.random.default_rng(1).normal(size=(2, 3))
         layer.weight.grad[:] = g
         before = layer.weight.value.copy()
-        opt = nn.Adam([layer], lr=0.01, epsilon=1e-8)
+        opt = nn.Adam(layer.params(), lr=0.01)
         opt.step()
-        expected = before - 0.01 * g / (np.abs(g) + 1e-8)
+        expected = before - 0.01 * g / (np.abs(g) + nn.EPSILON)
         np.testing.assert_allclose(layer.weight.value, expected, atol=1e-12)
 
     def test_decoupled_decay_uses_pre_update_weights(self):
@@ -212,72 +218,68 @@ class TestAdam:
         g = np.random.default_rng(2).normal(size=(2, 3))
         layer.weight.grad[:] = g
         theta0 = layer.weight.value.copy()
-        lr, wd, eps = 0.1, 0.5, 1e-8
-        nn.Adam([layer], lr=lr, epsilon=eps, weight_decay=wd).step()
+        lr, wd, eps = 0.1, 0.5, nn.EPSILON
+        nn.Adam(layer.params(), lr=lr, weight_decay=wd).step()
         expected = theta0 - lr * (g / (np.abs(g) + eps) + wd * theta0)
         np.testing.assert_allclose(layer.weight.value, expected, rtol=0, atol=1e-15)
         # the bias has a zero gradient, so only the decay of zero acts on it
         np.testing.assert_array_equal(layer.bias.value, np.zeros(2))
 
-    def test_frozen_untouched(self):
+    def test_only_the_parameters_handed_over_step(self):
         layer = self._layer_with_grad(1.0)
-        layer.frozen = True
-        raw = layer.weight.value.tobytes()
-        opt = nn.Adam([layer], lr=0.1, weight_decay=0.1)
+        layer.bias.grad[:] = 1.0
+        layer.bias.value[:] = 0.5
+        weight, bias = layer.weight.value.tobytes(), layer.bias.value.tobytes()
+        opt = nn.Adam([layer.weight], lr=0.1, weight_decay=0.1)
         for _ in range(5):
             opt.step()
-        assert layer.weight.value.tobytes() == raw
+        assert layer.bias.value.tobytes() == bias
+        assert layer.weight.value.tobytes() != weight
 
     def test_lr_zero_identity(self):
         layer = self._layer_with_grad(1.0)
         raw = layer.weight.value.tobytes()
-        nn.Adam([layer], lr=0.0, weight_decay=0.5).step()
+        nn.Adam(layer.params(), lr=0.0, weight_decay=0.5).step()
         assert layer.weight.value.tobytes() == raw
 
     def test_nonfinite_gradient(self):
         layer = self._layer_with_grad(np.nan)
         with pytest.raises(nn.NonFiniteGradient):
-            nn.Adam([layer]).step()
+            nn.Adam(layer.params()).step()
 
     def test_nonfinite_bias_gradient_changes_nothing(self):
         layer = self._layer_with_grad(0.5)
         layer.bias.grad[:] = 0.25
-        opt = nn.Adam([layer], lr=0.1, weight_decay=0.1)
+        opt = nn.Adam(layer.params(), lr=0.1, weight_decay=0.1)
         opt.step()
-        state = opt._state[id(layer.weight)]
-        before = (layer.weight.value.tobytes(), state["m"].tobytes(),
-                  state["v"].tobytes(), state["t"])
+        before = (layer.weight.value.tobytes(), opt.m[0].tobytes(),
+                  opt.v[0].tobytes(), opt.t)
         layer.bias.grad[1] = np.nan
         with pytest.raises(nn.NonFiniteGradient):
             opt.step()
-        assert (layer.weight.value.tobytes(), state["m"].tobytes(),
-                state["v"].tobytes(), state["t"]) == before
+        assert (layer.weight.value.tobytes(), opt.m[0].tobytes(),
+                opt.v[0].tobytes(), opt.t) == before
 
     @pytest.mark.parametrize("lr,wd", [(1e-2, 0.0), (1e-2, 0.1), (0.0, 0.0), (0.0, 0.1)])
     def test_matches_allocating_reference(self, lr, wd):
-        ours, ref = mixed_layers(5), mixed_layers(5)
-        # frozen at first, so the shared scratch has to grow once it steps
-        ours[-1].frozen = ref[-1].frozen = True
+        # parameters of several sizes share scratch sized to the largest
+        ours, ref = mixed_params(5), mixed_params(5)
         opt = nn.Adam(ours, lr=lr, weight_decay=wd)
         ref_opt = ReferenceAdam(ref, lr=lr, weight_decay=wd)
         rng = np.random.default_rng(6)
         for step in range(8):
-            if step == 3:
-                ours[-1].frozen = ref[-1].frozen = False
-            for a, b in zip(ours, ref):
-                for pa, pb in zip(a.params(), b.params()):
-                    pa.grad[:] = pb.grad[:] = rng.normal(scale=10.0 ** rng.integers(-6, 2),
-                                                         size=pa.grad.shape)
+            for pa, pb in zip(ours, ref):
+                pa.grad[:] = pb.grad[:] = rng.normal(scale=10.0 ** rng.integers(-6, 2),
+                                                     size=pa.grad.shape)
             opt.step()
             ref_opt.step()
-            for a, b in zip(ours, ref):
-                for pa, pb in zip(a.params(), b.params()):
-                    assert pa.value.tobytes() == pb.value.tobytes(), step
-        for a, b in zip(ours, ref):
-            for pa, pb in zip(a.params(), b.params()):
-                for key in ("m", "v", "t"):
-                    assert (np.asarray(opt._state[id(pa)][key]).tobytes()
-                            == np.asarray(ref_opt._state[id(pb)][key]).tobytes())
+            for pa, pb in zip(ours, ref):
+                assert pa.value.tobytes() == pb.value.tobytes(), step
+        for pa, pb, m, v in zip(ours, ref, opt.m, opt.v):
+            state = ref_opt._state[id(pb)]
+            assert m.tobytes() == state["m"].tobytes()
+            assert v.tobytes() == state["v"].tobytes()
+            assert opt.t == state["t"]
 
 
 # (layer factory, input shape) of each layer kind with parameters
@@ -375,14 +377,13 @@ class TestGradientBuffers:
     @FITS
     def test_training_step_sets_every_trainable_gradient(self, build, fit):
         net, use_encoder = fit_network(build, fit)
-        trainable = [p for layer in net.layers(use_encoder=use_encoder)
-                     if not layer.frozen for p in layer.params()]
+        trainable = trainable_params(net)
         for p in trainable:
             p.grad.fill(np.nan)
         training_step(net, use_encoder)
         assert trainable and all(np.isfinite(p.grad).all() for p in trainable)
-        assert all(not p.grad.any() for layer in net.layers(use_encoder=True)
-                   if layer.frozen for p in layer.params())
+        assert all(not p.grad.any() for layers in net.blocks().values()
+                   for layer in layers if layer.frozen for p in layer.params())
 
     @FITS
     def test_no_input_gradient_sets_the_same_gradients(self, build, fit):
@@ -399,7 +400,7 @@ class TestGradientBuffers:
 
 class TestFreezing:
     def _train_steps(self, net, steps, x, labels):
-        opt = nn.Adam(net.layers(use_encoder=net.encoder is not None), lr=1e-2)
+        opt = nn.Adam(trainable_params(net), lr=1e-2)
         for _ in range(steps):
             _, logits = net.forward(x, use_encoder=net.encoder is not None)
             net.backward(tc.cross_entropy_grad(logits, labels),
@@ -467,7 +468,7 @@ class TestReLU:
 
         def train():
             net = nn.build_cnn(seed=2)
-            opt = nn.Adam(net.layers(), lr=1e-2)
+            opt = nn.Adam(net.all_params(), lr=1e-2)
             for _ in range(3):
                 _, logits = net.forward(x)
                 net.backward(tc.cross_entropy_grad(logits, labels),
