@@ -27,13 +27,13 @@ EXPERIMENTS = {
     "fcn-mnist-idx-target": "fcn",
 }
 
-# accepted file names per role: the standard distribution names plus the
-# names `glyphs.write_corpus` writes, whose paths it returns in this order
+# the roles of the four raw IDX files, in the order `glyphs.write_corpus`
+# returns their paths, with the standard distribution's name for each
 _MNIST_NAMES = {
-    "train_images": ("train-images-idx3-ubyte", "train-images.idx"),
-    "train_labels": ("train-labels-idx1-ubyte", "train-labels.idx"),
-    "test_images": ("t10k-images-idx3-ubyte", "test-images.idx"),
-    "test_labels": ("t10k-labels-idx1-ubyte", "test-labels.idx"),
+    "train_images": "train-images-idx3-ubyte",
+    "train_labels": "train-labels-idx1-ubyte",
+    "test_images": "t10k-images-idx3-ubyte",
+    "test_labels": "t10k-labels-idx1-ubyte",
 }
 
 
@@ -60,15 +60,19 @@ def _load_config(args):
 
 
 def _find_mnist(mnist_dir):
+    """The raw IDX path of each role: the standard distribution's file,
+    else the one `glyphs.write_corpus` writes (`data.idx_pair`)."""
+    written = data.idx_pair(mnist_dir, "train") + data.idx_pair(mnist_dir, "test")
     found, missing = {}, []
-    for role, names in _MNIST_NAMES.items():
-        for name in names:
-            path = os.path.join(mnist_dir, name)
+    for (role, standard), own in zip(_MNIST_NAMES.items(), written):
+        paths = (os.path.join(mnist_dir, standard), own)
+        for path in paths:
             if os.path.exists(path):
                 found[role] = path
                 break
         else:
-            missing.append(f"{role} (one of {', '.join(names)})")
+            names = ", ".join(os.path.basename(path) for path in paths)
+            missing.append(f"{role} (one of {names})")
     if missing:
         raise data.DataError(
             f"missing IDX files under {mnist_dir}: {'; '.join(missing)}")

@@ -73,6 +73,19 @@ def checksum(net, blocks=("n1", "n2")):
     return hashlib.sha256(net.param_bytes(blocks)).hexdigest()
 
 
+def data_digest(bundle):
+    """SHA-256 over the images and labels of the bundle's splits, in SPLITS
+    order, each array's dtype and shape included: what `reproduce` keys
+    its stored cells and checkpoints by, besides the config."""
+    h = hashlib.sha256()
+    for name in SPLITS:
+        ds = getattr(bundle, name)
+        for array in (ds.images, ds.labels):
+            h.update(f"{array.dtype.str}{array.shape}".encode())
+            h.update(np.ascontiguousarray(array))
+    return h.hexdigest()
+
+
 def stopping_check(history, threshold):
     """True once the last two epoch losses differ by less than threshold."""
     if threshold <= 0:
@@ -153,20 +166,22 @@ def _train(net, ds, cfg, seed, tag, epochs, align=None, min_rows=1,
     return history
 
 
-def train_source(net, source_train, cfg, seed=None, checkpoint_path=None):
+def train_source(net, source_train, cfg, seed=None, checkpoint_path=None,
+                 digest=None):
     """Phase 1: train the encoder-less classifier on the source domain.
 
-    The checkpoint, if asked for, records the phase, the seed and the
-    hash of `cfg`.
+    The checkpoint, if asked for, records the phase, the seed, the hash
+    of `cfg` and, when given, the `data_digest` of the bundle.
     """
     if net.encoder is not None:
         raise nn.EncoderAlreadyPresent("phase-1 training expects no encoder")
     seed = cfg.seed if seed is None else seed
     history = _train(net, source_train, cfg, seed, "source", cfg.source_epochs)
     if checkpoint_path is not None:
-        nn.save_checkpoint(net, checkpoint_path,
-                           meta={"phase": "source", "seed": seed,
-                                 "config_hash": config_hash(cfg)})
+        meta = {"phase": "source", "seed": seed, "config_hash": config_hash(cfg)}
+        if digest is not None:
+            meta["data_digest"] = digest
+        nn.save_checkpoint(net, checkpoint_path, meta=meta)
     return net, history
 
 
@@ -205,12 +220,12 @@ def adapt(net, target_train, sampler, cfg, seed=None):
     return net, history
 
 
-def _pretrain(source_train, cfg, seed, checkpoint_path=None):
+def _pretrain(source_train, cfg, seed, checkpoint_path=None, digest=None):
     """Phase 1 from a fresh model, saved to `checkpoint_path` if given;
     returns (net, loss_history)."""
     net = build_model(cfg.model, derive_int(seed, "init"))
     _, history = train_source(net, source_train, cfg, seed=seed,
-                              checkpoint_path=checkpoint_path)
+                              checkpoint_path=checkpoint_path, digest=digest)
     return net, tuple(history)
 
 
@@ -477,26 +492,41 @@ def _load_record(path):
         return None
 
 
-def _pretrained_path(cfg, run_dir, trial):
+def _check_data(path, stored, digest):
+    """A stored cell or checkpoint made from other data than this run's
+    raises DataError naming the file."""
+    if stored != digest:
+        raise data.DataError(f"{path} was computed from other data; "
+                             "rerun into a fresh run dir")
+
+
+def _pretrained_path(cfg, digest, run_dir, trial):
     """Where a trial's phase-1 checkpoint goes.  It records the hash of
-    the config it was trained under; one already there from another
-    config raises ConfigError."""
+    the config and the digest of the data it was trained on; one already
+    there from another config raises ConfigError, from other data
+    DataError."""
     path = os.path.join(run_dir, "checkpoints", f"pretrained-trial{trial}.npz")
-    want = config_hash(cfg)
-    got = nn.checkpoint_meta(path).get("config_hash") if os.path.exists(path) else want
-    if got != want:
-        raise ConfigError(f"{path} was trained under config {got}, this run is "
-                          f"{want}; rerun into a fresh run dir")
+    if not os.path.exists(path):
+        return path
+    meta, want = nn.checkpoint_meta(path), config_hash(cfg)
+    if meta.get("config_hash") != want:
+        raise ConfigError(f"{path} was trained under config "
+                          f"{meta.get('config_hash')}, this run is {want}; "
+                          "rerun into a fresh run dir")
+    _check_data(path, meta.get("data_digest"), digest)
     return path
 
 
-def ensure_pretrained(bundle, cfg, run_dir, trial):
+def ensure_pretrained(bundle, cfg, run_dir, trial, digest=None):
     """Train (once) and persist the phase-1 checkpoint for a trial; one
-    already there must be from `cfg` (see `_pretrained_path`)."""
-    path = _pretrained_path(cfg, run_dir, trial)
+    already there must be from `cfg` and from the bundle, whose
+    `data_digest` is `digest` (computed here when None; see
+    `_pretrained_path`)."""
+    digest = data_digest(bundle) if digest is None else digest
+    path = _pretrained_path(cfg, digest, run_dir, trial)
     if os.path.exists(path):
         return path
-    _, history = _pretrain(bundle.source_train, cfg, cfg.seed + trial, path)
+    _, history = _pretrain(bundle.source_train, cfg, cfg.seed + trial, path, digest)
     _write_loss_csv(os.path.join(run_dir, f"source-loss-trial{trial}.csv"),
                     history)
     return path
@@ -531,7 +561,7 @@ def _cells(cfg):
             for family, key, strategy in method_inventory()]
 
 
-def _compute_cell(cell, bundle, cfg, run_dir, trial, cache):
+def _compute_cell(cell, bundle, cfg, run_dir, trial, cache, digest):
     seed = cfg.seed + trial
     if cell.family == "baseline":
         rec = run_baseline(cell.key, bundle, cfg, seed=seed, trial=cache)
@@ -541,11 +571,12 @@ def _compute_cell(cell, bundle, cfg, run_dir, trial, cache):
             os.path.join(run_dir,
                          f"adapt-loss.{cell.key}.{cell.strategy}.trial{trial}.csv"),
             rec.loss_history)
+    rec.report.metadata["data_digest"] = digest
     _save_record(cell.path(run_dir, trial), rec)
     return rec
 
 
-def _reproduce_trial(bundle, cfg, run_dir, trial, todo):
+def _reproduce_trial(bundle, cfg, run_dir, trial, todo, digest):
     """Compute the given cells of one trial; returns {cell: record}.
 
     The trial's phase-1 checkpoint is trained first, if missing.  The
@@ -554,15 +585,15 @@ def _reproduce_trial(bundle, cfg, run_dir, trial, todo):
     read, serves them all.  It is freed when this returns.
     """
     pretrained = [c for c in todo if METHODS[c.method].pretrained]
-    path = ensure_pretrained(bundle, cfg, run_dir, trial) if pretrained else None
-    out = {c: _compute_cell(c, bundle, cfg, run_dir, trial, None)
+    path = ensure_pretrained(bundle, cfg, run_dir, trial, digest) if pretrained else None
+    out = {c: _compute_cell(c, bundle, cfg, run_dir, trial, None, digest)
            for c in todo if c not in pretrained}
     if pretrained:
         splits = set(TEST_SPLITS).union(
             *(METHODS[c.method].reads(c.cfg) for c in pretrained))
         cache = Trial.start(bundle, cfg, cfg.seed + trial, path, splits)
         for c in pretrained:
-            out[c] = _compute_cell(c, bundle, cfg, run_dir, trial, cache)
+            out[c] = _compute_cell(c, bundle, cfg, run_dir, trial, cache, digest)
     return out
 
 
@@ -573,14 +604,17 @@ def reproduce(bundle, cfg, run_dir):
     resume markers: re-running skips them, so an interrupted run picks
     up where it stopped.  Every stored cell and phase-1 checkpoint is
     read, in trial and then inventory order, before anything is written:
-    a truncated or unreadable cell is computed again, and a cell or
+    a truncated or unreadable cell is computed again, a cell or
     checkpoint left by a different config raises ConfigError naming the
-    file.  The missing cells are then computed trial by trial (see
+    file, and one made from other data (its `data_digest`, stored next
+    to the config hash, differs from the bundle's) raises DataError.
+    The missing cells are then computed trial by trial (see
     `_reproduce_trial`): one phase-1 checkpoint and one Trial, N1 run
     once over each split, serve all of a trial's pretrained cells, and
     one trial's cache is alive at a time.
     """
     cells = _cells(cfg)
+    digest = data_digest(bundle)
     records = [{} for _ in range(cfg.trials)]
     for trial, stored in enumerate(records):
         for cell in cells:
@@ -591,14 +625,15 @@ def reproduce(bundle, cfg, run_dir):
             if rec.config != cell.cfg.snapshot():
                 raise ConfigError(f"{path} was computed under another config; "
                                   "rerun into a fresh run dir")
+            _check_data(path, rec.report.metadata.get("data_digest"), digest)
             stored[cell] = rec
-        _pretrained_path(cfg, run_dir, trial)
+        _pretrained_path(cfg, digest, run_dir, trial)
     os.makedirs(os.path.join(run_dir, "cells"), exist_ok=True)
     write_resolved(cfg, run_dir)
     for trial, stored in enumerate(records):
         todo = [c for c in cells if c not in stored]
         if todo:
-            stored.update(_reproduce_trial(bundle, cfg, run_dir, trial, todo))
+            stored.update(_reproduce_trial(bundle, cfg, run_dir, trial, todo, digest))
     averaged = [average_records([stored[c] for stored in records]) for c in cells]
     evaluate.write_report(averaged, run_dir)
     return averaged

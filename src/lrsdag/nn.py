@@ -7,8 +7,10 @@ hand-written per layer; there is no general autodiff tape.
 """
 
 import contextlib
+import ctypes
 import json
 import os
+import threading
 import zipfile
 
 import numpy as np
@@ -19,8 +21,9 @@ from .seeding import derive_rng
 
 BLOCK_NAMES = ("n1", "n2", "encoder")
 
-# images a conv unfolds, and whose input gradient it computes, at a time,
-# so that each GEMM reads columns that are still in cache
+# images a conv has in flight, over all its lanes: it unfolds them, and
+# computes their input gradient, CHUNK // LANES at a time per lane, so
+# that each GEMM reads columns that are still in cache
 CHUNK = 8
 
 # Adam's moment decay rates and the floor of its denominator
@@ -41,6 +44,77 @@ class EncoderMissing(NetworkError):
 
 class NonFiniteGradient(NetworkError):
     pass
+
+
+def _find_blas_threads():
+    """(get, set) of the thread count of the OpenBLAS NumPy links, looked up
+    through NumPy's own extension module, or None when there is no such
+    OpenBLAS setter (another BLAS, or no shared library to look in)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            try:
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _lane_count(blas_threads):
+    """One lane per CPU this process may run on, at most CHUNK; one lane
+    when the BLAS cannot be held to one thread, since a second BLAS thread
+    would spin against the lanes."""
+    if blas_threads is None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, CHUNK))
+
+
+_BLAS_THREADS = _find_blas_threads()
+LANES = _lane_count(_BLAS_THREADS)
+
+
+def _deal(n, work):
+    """Call work(start, stop, slot) for every slice of CHUNK // LANES images
+    of range(n), the slices dealt round robin over LANES lanes.  Lane 0 runs
+    on this thread and every other lane on a thread of its own, joined
+    before this returns; `slot` is the lane's offset into a CHUNK-image
+    buffer.  An exception raised in any lane is re-raised here."""
+    step = CHUNK // LANES
+    lanes = max(1, min(LANES, -(-n // step)))
+    errors = []
+
+    def run(lane):
+        try:
+            for start in range(lane * step, n, lanes * step):
+                work(start, min(start + step, n), lane * step)
+        except BaseException as exc:
+            if lane == 0:
+                raise
+            errors.append(exc)  # re-raised on the calling thread
+
+    threads = []
+    try:
+        for lane in range(1, lanes):
+            thread = threading.Thread(target=run, args=(lane,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 class Parameter:
@@ -159,10 +233,12 @@ class Conv2d(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x, keep=True):
-        """The layer's output, unfolded CHUNK images at a time.  The im2col
-        columns are read only for the weight gradient: a trainable layer
-        unfolds each chunk into its slice of the batch's columns and keeps
-        them for its backward; any other layer into one reused buffer."""
+        """The layer's output, its images dealt over the lanes (`_deal`),
+        each of which unfolds, multiplies and adds the bias to its slice.
+        The im2col columns are read only for the weight gradient: a
+        trainable layer unfolds each slice into its place in the batch's
+        columns and keeps them for its backward; any other layer into its
+        lane's slot of one reused CHUNK-image buffer."""
         kept = keep and not self.frozen
         self._x_shape = x.shape if keep else None
         self._cols = None  # freed before this batch's columns and `out` exist
@@ -172,17 +248,28 @@ class Conv2d(Layer):
         cols = np.empty((k, b if kept else min(b, CHUNK), h_out * w_out))
         self._cols = cols if kept else None
         out = np.empty((b, self.c_out, h_out * w_out))
+        padded = self._grid(x.shape, np.zeros)
         weight = self.weight.value.reshape(self.c_out, k)
+        bias = self.bias.value[:, None]
+
         # one GEMM per image: folded into one (K, B*Ho*Wo) product, an image's
         # output would round differently with the batch size
-        for start in range(0, b, CHUNK):
-            part = x[start:start + CHUNK]
-            at = cols[:, start:start + len(part)] if kept else cols[:, :len(part)]
-            tc.im2col(part, self.kh, self.kw, self.stride, self.padding, at)
-            np.matmul(weight, at.transpose(1, 0, 2), out=out[start:start + CHUNK])
-        out = out.reshape(b, self.c_out, h_out, w_out)
-        out += self.bias.value[None, :, None, None]
-        return out
+        def unfold(start, stop, slot):
+            at = cols[:, start:stop] if kept else cols[:, slot:slot + stop - start]
+            tc.im2col(x[start:stop], self.kh, self.kw, self.stride, self.padding, at,
+                      padded[slot:slot + stop - start])
+            np.matmul(weight, at.transpose(1, 0, 2), out=out[start:stop])
+            out[start:stop] += bias
+
+        _deal(b, unfold)
+        return out.reshape(b, self.c_out, h_out, w_out)
+
+    def _grid(self, x_shape, make):
+        """The lanes' padded input grids, CHUNK images' worth, made here on
+        the calling thread so that the lanes allocate nothing."""
+        b, c, h, w = x_shape
+        p = self.padding
+        return make((min(b, CHUNK), c, h + 2 * p, w + 2 * p))
 
     def backward(self, dout, input_grad=True):
         x_shape = self._kept(self._x_shape)
@@ -201,11 +288,17 @@ class Conv2d(Layer):
             return None
         weight_t = self.weight.value.reshape(self.c_out, -1).T
         dx = np.empty(x_shape)
-        for start in range(0, len(dx), CHUNK):
-            part = dmat[start:start + CHUNK]
-            dx[start:start + CHUNK] = tc.col2im(weight_t @ part,
-                                                   part.shape[:1] + x_shape[1:], self.kh,
-                                                   self.kw, self.stride, self.padding)
+        dcols = np.empty((min(len(dx), CHUNK),) + weight_t.shape[:1] + dmat.shape[2:])
+        grid = self._grid(x_shape, np.empty)
+
+        def fold(start, stop, slot):
+            part = dcols[slot:slot + stop - start]
+            np.matmul(weight_t, dmat[start:stop], out=part)
+            dx[start:stop] = tc.col2im(part, (stop - start,) + x_shape[1:], self.kh,
+                                       self.kw, self.stride, self.padding,
+                                       grid[slot:slot + stop - start])
+
+        _deal(len(dx), fold)
         return dx
 
 
@@ -279,6 +372,26 @@ class Network:
         finally:
             self._keep = keep
 
+    @contextlib.contextmanager
+    def _pinned(self):
+        """A pass of a network that holds a Conv2d runs with NumPy's
+        OpenBLAS at one thread, its count restored afterwards, also when
+        the pass raises: the conv lanes take the CPUs, and a BLAS worker
+        woken by any GEMM of the pass would spin against them.  Other
+        networks keep the BLAS's own thread count."""
+        if _BLAS_THREADS is None or not any(
+                isinstance(layer, Conv2d) for block in self.blocks().values()
+                for layer in block):
+            yield
+            return
+        get, put = _BLAS_THREADS
+        before = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(before)
+
     def forward(self, batch, use_encoder=False):
         """Run the stack, `head` over `forward_features`; returns
         (split_features, logits).
@@ -293,20 +406,22 @@ class Network:
         returns (split_features, logits) as `forward` does."""
         if use_encoder and self.encoder is None:
             raise EncoderMissing("use_encoder=True on a network without an encoder")
-        if use_encoder:
-            for layer in self.encoder:
+        with self._pinned():
+            if use_encoder:
+                for layer in self.encoder:
+                    x = layer.forward(x, self._keep)
+            split = x
+            for layer in self.n2:
                 x = layer.forward(x, self._keep)
-        split = x
-        for layer in self.n2:
-            x = layer.forward(x, self._keep)
-        tc.check_finite(x, "network forward")
+            tc.check_finite(x, "network forward")
         return split, x
 
     def forward_features(self, batch):
         """n1 output only (the feature map f)."""
         x = np.asarray(batch, dtype=np.float64)
-        for layer in self.n1:
-            x = layer.forward(x, self._keep)
+        with self._pinned():
+            for layer in self.n1:
+                x = layer.forward(x, self._keep)
         return x
 
     def backward(self, dlogits, use_encoder=False, split_grad=None,
@@ -332,12 +447,13 @@ class Network:
             below = self.n1 + below
         last = (below or self.n2)[0]
         d = dlogits
-        for layer in reversed(self.n2):
-            d = layer.backward(d, input_grad or layer is not last)
-        if split_grad is not None:
-            d = d + split_grad.reshape(d.shape)
-        for layer in reversed(below):
-            d = layer.backward(d, input_grad or layer is not last)
+        with self._pinned():
+            for layer in reversed(self.n2):
+                d = layer.backward(d, input_grad or layer is not last)
+            if split_grad is not None:
+                d = d + split_grad.reshape(d.shape)
+            for layer in reversed(below):
+                d = layer.backward(d, input_grad or layer is not last)
         return d
 
     def all_params(self, blocks=BLOCK_NAMES):

@@ -31,7 +31,7 @@ def check_finite(x, op="tensor op"):
         raise NonFiniteValue(f"{op} produced non-finite values")
 
 
-def im2col(x, kh, kw, stride, padding, out):
+def im2col(x, kh, kw, stride, padding, out, padded=None):
     """Unfold the sliding windows of x (B, C, H, W) into `out`, any
     (C*kh*kw, B, h_out*w_out) array, a strided slice of a larger one
     included.  The columns are k-major: one row block per (channel,
@@ -39,10 +39,15 @@ def im2col(x, kh, kw, stride, padding, out):
     pixel in row-major order.  `out.transpose(1, 0, 2)[b]` is image b's
     (C*kh*kw, h_out*w_out) matrix, which a (c_out, C*kh*kw) weight
     matrix turns into its output in (c_out, h_out, w_out) order.
+
+    With padding, x is copied into the interior of `padded`, a
+    (B, C, H+2p, W+2p) array whose border must hold zeros and is never
+    written, or into a new zeroed one when it is None.
     """
     if padding:
         b, c, h, w = x.shape
-        padded = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        if padded is None:
+            padded = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         padded[:, :, padding:padding + h, padding:padding + w] = x
         x = padded
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
@@ -53,7 +58,7 @@ def im2col(x, kh, kw, stride, padding, out):
         win.transpose(1, 4, 5, 0, 2, 3)
 
 
-def col2im(cols, x_shape, kh, kw, stride, padding):
+def col2im(cols, x_shape, kh, kw, stride, padding, out=None):
     """Scatter-add column gradients onto the input grid (adjoint of `im2col`).
 
     cols: (B, C*kh*kw, h_out*w_out), image-major: `im2col`'s layout with
@@ -61,13 +66,19 @@ def col2im(cols, x_shape, kh, kw, stride, padding):
     Overlapping windows accumulate. For each kernel offset (i, j), in a
     fixed row-major loop order, the contiguous (h_out, w_out) planes of
     every (B, C) are added onto the strided input positions that offset
-    reads.
+    reads.  The padded grid is `out`, a (B, C, H+2p, W+2p) array zeroed
+    here, or a new one when it is None; the input's part of it is
+    returned.
     """
     b, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
     h_out = (hp - kh) // stride + 1
     w_out = (wp - kw) // stride + 1
-    xp = np.zeros((b, c, hp, wp), dtype=np.float64)
+    if out is None:
+        xp = np.zeros((b, c, hp, wp), dtype=np.float64)
+    else:
+        xp = out
+        xp.fill(0.0)
     cols6 = cols.reshape(b, c, kh, kw, h_out, w_out)
     for i in range(kh):
         for j in range(kw):

@@ -143,6 +143,27 @@ class TestPrepareData:
         with open(os.path.join(outs[0], "manifest.json")) as fh:
             assert json.load(fh)["counts"]["source-train"] == 30
 
+    @pytest.mark.parametrize("layout", ["default", "other"])
+    def test_finds_the_corpus_write_corpus_wrote(self, tmp_path, monkeypatch, layout):
+        """Without --demo-size, prepare-data finds the raw pair names that
+        `data.idx_pair` gives, whatever that layout is, and prepares the
+        same splits as the --demo-size run that wrote the corpus."""
+        if layout == "other":
+            monkeypatch.setattr(data, "idx_pair", lambda directory, stem: (
+                os.path.join(directory, f"{stem}.images"),
+                os.path.join(directory, f"{stem}.labels")))
+        demo_raw, demo = str(tmp_path / "demo-raw"), str(tmp_path / "demo")
+        assert run("prepare-data", "--mnist-dir", demo_raw, "--out-dir", demo,
+                   "--demo-size", "40", "--syn-seed", "5") == 0
+        raw, prep = str(tmp_path / "raw"), str(tmp_path / "prep")
+        glyphs.write_corpus(raw, n_train=40, n_test=10, seed=5)
+        assert sorted(os.listdir(raw)) == sorted(os.listdir(demo_raw))
+        assert run("prepare-data", "--mnist-dir", raw, "--out-dir", prep,
+                   "--syn-seed", "5") == 0
+        got, want = tree_bytes(prep), tree_bytes(demo)
+        assert got.pop("manifest.json") != want.pop("manifest.json")  # demo_size
+        assert got == want and len(got) == 14
+
     def test_bad_fraction_is_data_error(self, prep_dir, tmp_path):
         raw = os.path.dirname(prep_dir)
         rc = run("prepare-data", "--mnist-dir", os.path.join(raw, "raw"),
@@ -552,6 +573,40 @@ class TestReproduce:
                    "--run-dir", run_dir) == 1
         assert "pretrained-trial1.npz" in capsys.readouterr().err
         assert tree_bytes(run_dir) == before
+
+    def test_rerun_on_regenerated_data_exits_2(self, tiny_cfg_path, tmp_path,
+                                               capsys):
+        """The config records the data dir's path, not its contents: data
+        regenerated in place under another --syn-seed is refused by the
+        data digest its cells and checkpoints store, before any file is
+        written."""
+        prep = str(tmp_path / "prep")
+
+        def prepare(syn_seed):
+            assert run("prepare-data", "--mnist-dir", str(tmp_path / "raw"),
+                       "--out-dir", prep, "--demo-size", "80",
+                       "--syn-seed", syn_seed, "--val-fraction", "0.25") == 0
+
+        prepare("3")
+        run_dir = str(tmp_path / "run")
+        argv = ("reproduce", "--experiment", "fcn-mnist-syn", "--config",
+                tiny_cfg_path, "--data-dir", prep, "--run-dir", run_dir)
+        assert run(*argv) == 0
+        prepare("4")
+
+        def refused_naming(named):
+            before = tree_bytes(run_dir)
+            capsys.readouterr()
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert named in err and "other data" in err
+            assert tree_bytes(run_dir) == before
+
+        refused_naming("cells")
+        # with the cells gone, the phase-1 checkpoint is what differs
+        for name in os.listdir(os.path.join(run_dir, "cells")):
+            os.remove(os.path.join(run_dir, "cells", name))
+        refused_naming("pretrained-trial0.npz")
 
     def test_data_dir_its_config_file_cannot_hold_exits_1(self, tmp_path,
                                                            capsys):

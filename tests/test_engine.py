@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -668,6 +669,21 @@ class TestReproduce:
         assert loaded.report.accuracy == rec.report.accuracy
         assert loaded.loss_history == rec.loss_history
 
+    def test_data_digest_reads_every_array(self):
+        bundle = blob_bundle(n_train=40, n_test=20)
+        digest = engine.data_digest(bundle)
+        assert digest == engine.data_digest(blob_bundle(n_train=40, n_test=20))
+        for name in engine.SPLITS:
+            ds = getattr(bundle, name)
+            images, labels = ds.images.copy(), ds.labels.copy()
+            images[-1].flat[-1] += 1.0
+            labels[0] = (labels[0] + 1) % 10
+            for changed in ({"images": images}, {"labels": labels},
+                            {"images": ds.images.reshape(len(ds), 1, 2, -1)}):
+                other = dataclasses.replace(
+                    bundle, **{name: dataclasses.replace(ds, **changed)})
+                assert engine.data_digest(other) != digest, (name, list(changed))
+
     def test_other_config_is_rejected(self, tmp_path):
         bundle = blob_bundle(n_train=40, n_test=20)
         cfg = quick_cfg(source_epochs=1, max_adapt_epochs=1)
@@ -761,6 +777,7 @@ class TestReproduce:
             bundle.target_test))
         monkeypatch.undo()
 
+        digest = engine.data_digest(bundle)
         for cell in engine._cells(cfg):
             for trial in range(cfg.trials):
                 path = str(tmp_path / "checkpoints" / f"pretrained-trial{trial}.npz")
@@ -777,7 +794,10 @@ class TestReproduce:
                 for name in ("method", "strategy", "loss_history", "seeds",
                              "config"):
                     assert getattr(rec, name) == getattr(stored, name), name
-                assert rec.report.to_dict() == stored.report.to_dict()
+                # reproduce adds the digest of the data it ran on
+                report = stored.report.to_dict()
+                assert report["metadata"].pop("data_digest") == digest
+                assert rec.report.to_dict() == report
 
     @pytest.mark.parametrize("method, loss, reads", [
         ("source_trained", "cls", ()),

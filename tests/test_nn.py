@@ -1,4 +1,5 @@
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,10 @@ from lrsdag import nn
 from lrsdag import tensor_core as tc
 
 from gradcheck import grad_check
+
+# lane counts the conv tests run at: one, the two of a two-core machine,
+# and one that leaves CHUNK // lanes a remainder
+LANE_COUNTS = (1, 2, 3)
 
 
 def project_fn(layer, r):
@@ -703,46 +708,93 @@ class TestForwardCaches:
         assert "n2.6._x" in held_caches(net)
 
 
+def slice_sizes(n, lanes):
+    """The image counts a conv's lanes take from a batch of n, as a
+    multiset: CHUNK // lanes each, the last one the remainder."""
+    step = nn.CHUNK // lanes
+    return sorted([step] * (n // step) + ([n % step] if n % step else []))
+
+
 class TestConvChunks:
-    """A conv forward unfolds CHUNK images at a time, into its slice of the
-    columns a trainable layer keeps or into one reused buffer; each
-    image's output is one GEMM either way."""
+    """A conv deals its images over LANES lanes, CHUNK // LANES at a time
+    per lane, unfolding each slice into its place in the columns a
+    trainable layer keeps or into its lane's slot of one reused buffer;
+    each image's output is one GEMM either way, whatever the lane count."""
 
     @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 70])
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
-    def test_chunked_equals_caching_and_per_image(self, n, stride, padding):
+    def test_chunked_equals_caching_and_per_image(self, n, stride, padding,
+                                                  monkeypatch):
         rng = np.random.default_rng(n + 10 * stride + padding)
         conv = nn.Conv2d(3, 5, 3, 3, stride, padding, rng=rng)
         conv.bias.value[:] = rng.normal(size=5)
         x = rng.normal(size=(n, 3, 9, 9))
-        cached = conv.forward(x)
-        chunked = conv.forward(x, keep=False)
-        h = (9 + 2 * padding - 3) // stride + 1
-        assert chunked.shape == cached.shape == (n, 5, h, h)
-        assert chunked.tobytes() == cached.tobytes()
+        outputs = set()
+        for lanes in LANE_COUNTS:
+            monkeypatch.setattr(nn, "LANES", lanes)
+            cached = conv.forward(x)
+            chunked = conv.forward(x, keep=False)
+            h = (9 + 2 * padding - 3) // stride + 1
+            assert chunked.shape == cached.shape == (n, 5, h, h)
+            assert chunked.tobytes() == cached.tobytes()
+            outputs.add(chunked.tobytes())
         for i in range(n):
             assert chunked[i].tobytes() == conv.forward(x[i:i + 1])[0].tobytes(), i
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_backward_equals_per_image_at_every_lane_count(self, n, stride, padding,
+                                                           monkeypatch):
+        rng = np.random.default_rng(n + 10 * stride + padding + 1)
+        conv = nn.Conv2d(3, 5, 3, 3, stride, padding, rng=rng)
+        x = rng.normal(size=(n, 3, 9, 9))
+        dout = rng.normal(size=conv.forward(x).shape)
+        grads = set()
+        for lanes in LANE_COUNTS:
+            monkeypatch.setattr(nn, "LANES", lanes)
+            conv.forward(x)
+            dx = conv.backward(dout)
+            grads.add((dx.tobytes(), conv.weight.grad.tobytes(),
+                       conv.bias.grad.tobytes()))
+        assert len(grads) == 1
+        # an image's input gradient is its own GEMM and scatter
+        for i in range(n):
+            conv.forward(x[i:i + 1])
+            assert conv.backward(dout[i:i + 1])[0].tobytes() == dx[i].tobytes(), i
 
     def test_unfolds_chunk_images_at_a_time(self, monkeypatch):
+        # lanes interleave their calls, so only the multiset of slices holds
         seen = []
         orig = tc.im2col
-        monkeypatch.setattr(tc, "im2col", lambda x, *a: seen.append(len(x)) or orig(x, *a))
-        conv = nn.Conv2d(1, 2, 3, 3, 1, 1, rng=np.random.default_rng(0))
+        monkeypatch.setattr(tc, "im2col",
+                            lambda x, *a: seen.append(tuple(x[:, 0, 0, 0])) or orig(x, *a))
         x = np.random.default_rng(1).normal(size=(2 * nn.CHUNK + 3, 1, 5, 5))
-        chunks = [nn.CHUNK, nn.CHUNK, 3]
-        conv.forward(x, keep=False)
-        assert seen == chunks and conv._cols is None
-        conv.frozen = True
-        conv.forward(x)
-        assert seen[3:] == chunks and conv._cols is None
-        conv.frozen = False
-        conv.forward(x)
-        assert seen[6:] == chunks
-        # the kept columns are one (K, B, Ho*Wo) array, each chunk in its slice
+        x[:, 0, 0, 0] = np.arange(len(x))  # each image's mark
+        # the kept columns are one (K, B, Ho*Wo) array, each slice in its place
         ref = np.empty((9, len(x), 25))
         orig(x, 3, 3, 1, 1, ref)
-        assert conv._cols.shape == ref.shape and conv._cols.flags.c_contiguous
-        assert conv._cols.tobytes() == ref.tobytes()
+        for lanes in LANE_COUNTS:
+            monkeypatch.setattr(nn, "LANES", lanes)
+
+            def every_image_once():
+                assert sorted(map(len, seen)) == slice_sizes(len(x), lanes)
+                assert sorted(i for part in seen for i in part) == list(range(len(x)))
+                seen.clear()
+
+            conv = nn.Conv2d(1, 2, 3, 3, 1, 1, rng=np.random.default_rng(0))
+            conv.forward(x, keep=False)
+            every_image_once()
+            assert conv._cols is None
+            conv.frozen = True
+            conv.forward(x)
+            every_image_once()
+            assert conv._cols is None
+            conv.frozen = False
+            conv.forward(x)
+            every_image_once()
+            assert conv._cols.shape == ref.shape and conv._cols.flags.c_contiguous
+            assert conv._cols.tobytes() == ref.tobytes()
 
     def test_kept_columns_freed_before_the_next_are_made(self):
         """The next kept forward frees the last batch's columns before it
@@ -766,5 +818,118 @@ class TestConvChunks:
         monkeypatch.setattr(tc, "col2im", lambda c, *a: seen.append(len(c)) or orig(c, *a))
         conv = nn.Conv2d(1, 2, 3, 3, 1, 1, rng=np.random.default_rng(0))
         x = np.ones((2 * nn.CHUNK + 3, 1, 5, 5))
-        conv.backward(np.ones_like(conv.forward(x)))
-        assert seen == [nn.CHUNK, nn.CHUNK, 3]
+        for lanes in LANE_COUNTS:
+            monkeypatch.setattr(nn, "LANES", lanes)
+            conv.backward(np.ones_like(conv.forward(x)))
+            assert sorted(seen) == slice_sizes(len(x), lanes)
+            seen.clear()
+
+
+needs_blas_setter = pytest.mark.skipif(nn._BLAS_THREADS is None,
+                                       reason="NumPy's BLAS has no OpenBLAS thread setter")
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's (get, set), its thread count put back after the test."""
+    get, put = nn._BLAS_THREADS
+    before = get()
+    yield get, put
+    put(before)
+
+
+class TestLanes:
+    """Conv lanes run on short-lived threads while a conv network's pass
+    holds NumPy's OpenBLAS at one thread."""
+
+    def test_lane_exception_reaches_the_caller(self, monkeypatch):
+        class LaneFailure(Exception):
+            pass
+
+        orig = tc.im2col
+
+        def im2col(x, *a):
+            if threading.current_thread() is not threading.main_thread():
+                raise LaneFailure("in a lane")
+            return orig(x, *a)
+
+        monkeypatch.setattr(tc, "im2col", im2col)
+        monkeypatch.setattr(nn, "LANES", 2)
+        threads = threading.active_count()
+        conv = nn.Conv2d(1, 2, 3, 3, 1, 1, rng=np.random.default_rng(0))
+        with pytest.raises(LaneFailure, match="in a lane"):
+            conv.forward(np.ones((2 * nn.CHUNK, 1, 5, 5)))
+        assert threading.active_count() == threads
+
+    def test_failed_setter_lookup_gives_one_lane(self, monkeypatch):
+        def no_library(*args, **kwargs):
+            raise OSError("no such library")
+
+        monkeypatch.setattr(nn.ctypes, "CDLL", no_library)
+        assert nn._find_blas_threads() is None
+        assert nn._lane_count(nn._find_blas_threads()) == 1
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count()
+        assert nn._lane_count(object()) == min(cpus, nn.CHUNK)
+
+    @needs_blas_setter
+    def test_conv_pass_pins_and_restores_the_count(self, blas_threads, monkeypatch):
+        get, put = blas_threads
+        put(2)
+        seen = []
+        orig = tc.im2col
+        monkeypatch.setattr(tc, "im2col", lambda x, *a: seen.append(get()) or orig(x, *a))
+        net = nn.build_cnn(seed=0)
+        x = np.random.default_rng(0).normal(size=(3, 1, 32, 32))
+        _, logits = net.forward(x)
+        assert get() == 2
+        net.backward(np.ones_like(logits))
+        assert get() == 2
+        assert seen and set(seen) == {1}
+        # a pass that raises (the logits check) restores the count too
+        bad = x.copy()
+        bad[0, 0, 0, 0] = np.nan
+        with pytest.raises(tc.NonFiniteValue):
+            net.forward(bad)
+        assert get() == 2
+        # nested passes: the inner one restores the outer one's count
+        with net._pinned():
+            _, logits = net.forward(x)
+            assert get() == 1
+            with net._pinned():
+                net.backward(np.ones_like(logits))
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+
+    @needs_blas_setter
+    def test_fcn_pass_keeps_the_count(self, blas_threads, monkeypatch):
+        get, put = blas_threads
+        put(2)
+        seen = []
+        orig = nn.Linear.forward
+        monkeypatch.setattr(nn.Linear, "forward",
+                            lambda self, x, keep=True: seen.append(get()) or orig(self, x, keep))
+        nn.build_fcn(seed=0).forward(np.ones((2, 1, 32, 32)))
+        assert set(seen) == {2}
+
+    @needs_blas_setter
+    def test_pinned_outputs_equal_the_default_count(self, blas_threads, monkeypatch):
+        get, put = blas_threads
+        x = np.random.default_rng(1).normal(size=(2 * nn.CHUNK + 1, 1, 32, 32))
+
+        def step():
+            net = nn.build_cnn(seed=3)
+            nn.build_encoder(net, seed=4)
+            split, logits = net.forward(x, use_encoder=True)
+            dx = net.backward(np.cos(logits), use_encoder=True,
+                              split_grad=np.sin(split))
+            return [split, logits, dx] + [p.grad for p in net.all_params()]
+
+        pinned = step()
+        put(max(2, get()))
+        monkeypatch.setattr(nn, "_BLAS_THREADS", None)  # no pass pins
+        at_default = step()
+        assert [a.tobytes() for a in pinned] == [a.tobytes() for a in at_default]
