@@ -280,9 +280,7 @@ def cmd_grid_search(args):
 
 def cmd_reproduce(args):
     cfg = _load_config(args)
-    cfg = dataclasses.replace(cfg, model=EXPERIMENTS[args.experiment],
-                              source=args.data_dir,
-                              target=args.target_dir or args.data_dir)
+    cfg = dataclasses.replace(cfg, model=EXPERIMENTS[args.experiment])
     bundle = _load_bundle(args.data_dir, target_dir=args.target_dir)
     run_dir = _run_dir(args)
     engine.reproduce(bundle, cfg, run_dir)

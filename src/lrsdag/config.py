@@ -38,8 +38,6 @@ class ExperimentConfig:
     """Hyperparameters and identifiers for one experiment."""
 
     model: str = "fcn"
-    source: str = ""
-    target: str = ""
     loss: str = "cls_kl"
     sampling: str = "indirect"
     lr: float = 1e-3
@@ -58,12 +56,6 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type is float and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-            if f.type is str and ("#" in value or value != value.strip()
-                                  or len(value.splitlines()) > 1
-                                  or value.encode("utf-8", "replace").decode() != value):
-                raise ConfigError(f"{f.name} must hold no '#', line break, outer "
-                                  f"whitespace or character UTF-8 cannot encode, "
-                                  f"got {value!r}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {tuple(MODELS)}, got {self.model!r}")
         if self.loss not in losses.LOSSES:

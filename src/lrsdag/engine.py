@@ -88,8 +88,6 @@ def data_digest(bundle):
 
 def stopping_check(history, threshold):
     """True once the last two epoch losses differ by less than threshold."""
-    if threshold <= 0:
-        raise ConfigError("stop threshold must be positive")
     return len(history) >= 2 and abs(history[-1] - history[-2]) < threshold
 
 

@@ -273,7 +273,8 @@ class Conv2d(Layer):
 
     def backward(self, dout, input_grad=True):
         x_shape = self._kept(self._x_shape)
-        dmat = dout.reshape(dout.shape[0], self.c_out, -1)
+        # the pixel count spelled out: reshape cannot infer -1 for an empty batch
+        dmat = dout.reshape(dout.shape[0], self.c_out, dout.shape[2] * dout.shape[3])
         if not self.frozen:
             # one GEMM over all (image, pixel) pairs, image-major: the k-major
             # columns are that (K, B*Ho*Wo) matrix already; moving dout's batch

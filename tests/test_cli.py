@@ -8,6 +8,7 @@ suite stays fast.
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -507,11 +508,10 @@ class TestReproduce:
         assert "CLS+KL" in out and "CORAL" in out
         report = open(os.path.join(first, "report.csv"), "rb").read()
         assert report.decode().count("\n") == 15  # header + 14 method rows
-        # the experiment sets the model and the flags the data dirs
+        # the experiment sets the model and nothing else
         resolved = config.load(os.path.join(first, "config-resolved.txt"))
-        assert resolved == dataclasses.replace(
-            config.load(tiny_cfg_path), model="fcn", source=prep_dir,
-            target=prep_dir)
+        assert resolved == dataclasses.replace(config.load(tiny_cfg_path),
+                                               model="fcn")
 
         # resumed rerun reuses the cell cache and reproduces the bytes
         assert run("reproduce", "--experiment", "fcn-mnist-syn",
@@ -576,10 +576,9 @@ class TestReproduce:
 
     def test_rerun_on_regenerated_data_exits_2(self, tiny_cfg_path, tmp_path,
                                                capsys):
-        """The config records the data dir's path, not its contents: data
-        regenerated in place under another --syn-seed is refused by the
-        data digest its cells and checkpoints store, before any file is
-        written."""
+        """Data regenerated in place under another --syn-seed is refused
+        by the data digest its cells and checkpoints store, before any
+        file is written."""
         prep = str(tmp_path / "prep")
 
         def prepare(syn_seed):
@@ -608,27 +607,36 @@ class TestReproduce:
             os.remove(os.path.join(run_dir, "cells", name))
         refused_naming("pretrained-trial0.npz")
 
-    def test_data_dir_its_config_file_cannot_hold_exits_1(self, tmp_path,
-                                                           capsys):
-        # a '#' would cut the written `source = ...` line short; the data
-        # dir does not exist, so reading it first would exit 2
-        run_dir = tmp_path / "run"
-        assert run("reproduce", "--experiment", "fcn-mnist-syn",
-                   "--data-dir", str(tmp_path / "x#y"),
-                   "--run-dir", str(run_dir)) == 1
-        assert "source must hold no '#'" in capsys.readouterr().err
-        assert not run_dir.exists()
+    def test_same_data_from_another_path_resumes(self, prep_dir, tiny_cfg_path,
+                                                 tmp_path, monkeypatch):
+        """A run is its config and its data's digest, not the path the data
+        was read from: a copy under a name no config line could hold ('#'
+        starts a comment; Python reads a non-UTF-8 byte in argv as U+DCFF)
+        resumes every cell and writes the same bytes."""
+        copy = str(tmp_path / "pre#\udcffpared")
+        shutil.copytree(prep_dir, copy)
 
-    def test_data_dir_utf8_cannot_encode_exits_1(self, tmp_path, capsys):
-        # Python decodes the byte 0xff of a non-UTF-8 argv to the lone
-        # surrogate U+DCFF, which config-resolved.txt could not hold
-        run_dir = tmp_path / "run"
-        assert run("reproduce", "--experiment", "fcn-mnist-syn",
-                   "--data-dir", str(tmp_path / "pre\udcffpared"),
-                   "--run-dir", str(run_dir)) == 1
-        err = capsys.readouterr().err
-        assert "configuration error: source" in err and "UTF-8" in err
-        assert not run_dir.exists()
+        def reproduce(data_dir, run_dir):
+            return run("reproduce", "--experiment", "fcn-mnist-syn",
+                       "--config", tiny_cfg_path, "--data-dir", data_dir,
+                       "--run-dir", run_dir)
+
+        first = tmp_path / "first"
+        assert reproduce(prep_dir, str(first)) == 0
+        before = tree_bytes(first)
+
+        def compute(*args):
+            raise AssertionError("a stored cell was computed again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_reproduce_trial", compute)
+            assert reproduce(copy, str(first)) == 0
+        assert tree_bytes(first) == before
+
+        fresh = tmp_path / "fresh"
+        assert reproduce(copy, str(fresh)) == 0
+        for name in ("report.txt", "config-resolved.txt"):
+            assert (fresh / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_unknown_experiment_is_usage_error(self, prep_dir):
         assert run("reproduce", "--experiment", "no-such",
@@ -692,15 +700,19 @@ class TestExitCodes:
         assert "lr must be finite" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(run_dir, "source.npz"))
 
+    @pytest.mark.parametrize("key", ["val_fraction", "source", "target"])
     def test_val_fraction_is_not_a_config_key(self, prep_dir, tmp_path,
-                                              capsys):
-        # the validation split is set by prepare-data --val-fraction
+                                              capsys, key):
+        # lines older config files hold: the validation split is set by
+        # prepare-data --val-fraction, and the data a run read is named by
+        # its digest, not by a path
+        value = "0.2" if key == "val_fraction" else "data/prepared"
         bad = os.path.join(tmp_path, "old.cfg")
-        open(bad, "w").write("seed = 1\nval_fraction = 0.2\n")
+        open(bad, "w").write(f"seed = 1\n{key} = {value}\n")
         assert run("train-source", "--config", bad, "--data-dir", prep_dir,
                    "--run-dir", str(tmp_path)) == 1
         err = capsys.readouterr().err
-        assert "line 2" in err and "val_fraction" in err
+        assert "line 2" in err and repr(key) in err
 
     def test_unknown_config_key(self, prep_dir, tmp_path):
         bad = os.path.join(tmp_path, "bad.cfg")

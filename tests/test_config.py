@@ -103,38 +103,22 @@ class TestRoundTrip:
         assert cfg.model == "fcn"
         assert cfg.seed == 11
 
-    @pytest.mark.parametrize("field", ["source", "target"])
-    @pytest.mark.parametrize("value", [
-        "/tmp/a#b", " /tmp/x ", "/tmp/x\t", "a\nlr = 5", "a\rb", "a\x85b",
-        "a\u2028b", "\n", "data/\udcff"])
-    def test_text_that_its_file_line_would_change_is_refused(self, field, value):
-        # '#' starts a comment, a parsed value is stripped, a line break
-        # would end the line, and a lone surrogate (what Python makes of
-        # a non-UTF-8 byte in argv) cannot be written as UTF-8
-        with pytest.raises(config.ConfigError, match=field):
-            ExperimentConfig(**{field: value})
-
-    @pytest.mark.parametrize("value", ["", "data/prepared", "my data/a=b", "ä/ø"])
-    def test_text_with_inner_spaces_and_equals_round_trips(self, value):
-        cfg = ExperimentConfig(source=value, target=value)
-        assert config.parse_text(config.render(cfg)) == cfg
-
 
 def _field_values():
-    """Every field of ExperimentConfig: the tables' names, text with '#',
-    whitespace, line breaks and lone surrogates in it, finite floats and
-    ints."""
+    """Every field of ExperimentConfig: for the text fields their table's
+    names or text with '#', whitespace, line breaks and lone surrogates in
+    it, then finite floats and ints."""
     awkward = st.sampled_from("#= \t\n\r\x0b\x0c\x85\u2028/.a")
     text = st.text(awkward | st.characters(codec="utf-8")
                    | st.characters(categories=["Cs"]), max_size=8)
     # no float field may be negative; checks refuse the rest
     floats = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(
         [0.1 + 0.2, 1e-7, 3.3e-45, 5e-324, -0.0, 1.7976931348623157e308])
-    kinds = {str: text, float: floats, int: st.integers(-1, 2**40)}
+    kinds = {float: floats, int: st.integers(-1, 2**40)}
     named = {"model": tuple(config.MODELS), "loss": tuple(losses.LOSSES),
              "sampling": sampling.SAMPLER_KINDS}
     return st.fixed_dictionaries({
-        f.name: st.sampled_from(named[f.name]) if f.name in named
+        f.name: st.sampled_from(named[f.name]) | text if f.name in named
         else kinds[f.type] for f in dataclasses.fields(ExperimentConfig)})
 
 

@@ -70,10 +70,6 @@ class TestStoppingCheck:
     def test_single_entry_continues(self):
         assert not engine.stopping_check([1.0], 0.1)
 
-    def test_bad_threshold(self):
-        with pytest.raises(engine.ConfigError):
-            engine.stopping_check([1.0, 1.0], 0.0)
-
 
 class TestTrainSource:
     def test_zero_epochs_is_identity(self):

@@ -742,7 +742,7 @@ class TestConvChunks:
             assert chunked[i].tobytes() == conv.forward(x[i:i + 1])[0].tobytes(), i
         assert len(outputs) == 1
 
-    @pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 70])
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_backward_equals_per_image_at_every_lane_count(self, n, stride, padding,
                                                            monkeypatch):
