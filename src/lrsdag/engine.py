@@ -595,6 +595,18 @@ def _reproduce_trial(bundle, cfg, run_dir, trial, todo, digest):
     return out
 
 
+def _check_bypass(cells, stored, run_dir, trial):
+    """With the encoder bypassed every LRS-DAG cell scores the phase-1 model,
+    so its bypassed counts must equal Source only's; EngineError names both."""
+    base = next(c for c in cells if c.key == "source_trained")
+    for cell in (c for c in cells if c.family == "lrsdag"):
+        if not all(np.array_equal(stored[cell].report.confusion[k],
+                                  stored[base].report.confusion[k])
+                   for k in ("source_without", "target_without")):
+            raise EngineError(f"{cell.path(run_dir, trial)} and {base.path(run_dir, trial)} "
+                              "differ with the encoder bypassed")
+
+
 def reproduce(bundle, cfg, run_dir):
     """Run every method for cfg.trials trials and render the report.
 
@@ -609,7 +621,8 @@ def reproduce(bundle, cfg, run_dir):
     The missing cells are then computed trial by trial (see
     `_reproduce_trial`): one phase-1 checkpoint and one Trial, N1 run
     once over each split, serve all of a trial's pretrained cells, and
-    one trial's cache is alive at a time.
+    one trial's cache is alive at a time.  A trial whose cells break the
+    paper's guarantee (`_check_bypass`) stops the run before any report.
     """
     cells = _cells(cfg)
     digest = data_digest(bundle)
@@ -632,6 +645,7 @@ def reproduce(bundle, cfg, run_dir):
         todo = [c for c in cells if c not in stored]
         if todo:
             stored.update(_reproduce_trial(bundle, cfg, run_dir, trial, todo, digest))
+        _check_bypass(cells, stored, run_dir, trial)
     averaged = [average_records([stored[c] for stored in records]) for c in cells]
     evaluate.write_report(averaged, run_dir)
     return averaged

@@ -84,20 +84,34 @@ _BLAS_THREADS = _find_blas_threads()
 LANES = _lane_count(_BLAS_THREADS)
 
 
-def _deal(n, work):
+def _slots():
+    """Images in a buffer the lanes share: any lane may take any slice."""
+    return LANES * (CHUNK // LANES)
+
+
+def _deal(n, work, extra=None):
     """Call work(start, stop, slot) for every slice of CHUNK // LANES images
-    of range(n), the slices dealt round robin over LANES lanes.  Lane 0 runs
-    on this thread and every other lane on a thread of its own, joined
-    before this returns; `slot` is the lane's offset into a CHUNK-image
-    buffer.  An exception raised in any lane is re-raised here."""
+    of range(n), and extra() once when it is given, over at most LANES
+    lanes.  Each lane takes the next item not yet taken, `extra` first,
+    until none is left.  Lane 0 runs on this thread and every other lane on
+    a thread of its own, joined before this returns; `slot` is the taking
+    lane's offset into a buffer of `_slots()` images.  An exception raised
+    in any lane is re-raised here."""
     step = CHUNK // LANES
-    lanes = max(1, min(LANES, -(-n // step)))
+    items = [extra] * (extra is not None) + list(range(0, n, step))
+    lanes = max(1, min(LANES, len(items)))
+    # list.pop is atomic, so each item goes to one lane; a lane stops at
+    # the first None, and there is one None per lane under the items
+    todo = [None] * lanes + items[::-1]
     errors = []
 
     def run(lane):
         try:
-            for start in range(lane * step, n, lanes * step):
-                work(start, min(start + step, n), lane * step)
+            for item in iter(todo.pop, None):
+                if item is extra:
+                    extra()
+                else:
+                    work(item, min(item + step, n), lane * step)
         except BaseException as exc:
             if lane == 0:
                 raise
@@ -238,14 +252,14 @@ class Conv2d(Layer):
         The im2col columns are read only for the weight gradient: a
         trainable layer unfolds each slice into its place in the batch's
         columns and keeps them for its backward; any other layer into its
-        lane's slot of one reused CHUNK-image buffer."""
+        lane's slot of one reused `_slots()`-image buffer."""
         kept = keep and not self.frozen
         self._x_shape = x.shape if keep else None
         self._cols = None  # freed before this batch's columns and `out` exist
         b, k = len(x), self.c_in * self.kh * self.kw
         h_out = (x.shape[2] + 2 * self.padding - self.kh) // self.stride + 1
         w_out = (x.shape[3] + 2 * self.padding - self.kw) // self.stride + 1
-        cols = np.empty((k, b if kept else min(b, CHUNK), h_out * w_out))
+        cols = np.empty((k, b if kept else _slots(), h_out * w_out))
         self._cols = cols if kept else None
         out = np.empty((b, self.c_out, h_out * w_out))
         padded = self._grid(x.shape, np.zeros)
@@ -265,31 +279,39 @@ class Conv2d(Layer):
         return out.reshape(b, self.c_out, h_out, w_out)
 
     def _grid(self, x_shape, make):
-        """The lanes' padded input grids, CHUNK images' worth, made here on
-        the calling thread so that the lanes allocate nothing."""
-        b, c, h, w = x_shape
+        """The lanes' padded input grids, `_slots()` images' worth, made here
+        on the calling thread so that the lanes allocate nothing."""
+        _, c, h, w = x_shape
         p = self.padding
-        return make((min(b, CHUNK), c, h + 2 * p, w + 2 * p))
+        return make((_slots(), c, h + 2 * p, w + 2 * p))
 
     def backward(self, dout, input_grad=True):
+        # with dx, dW is one item `_deal` hands a lane beside the dx slices,
+        # still one GEMM over the batch: a split would change its bits
         x_shape = self._kept(self._x_shape)
         # the pixel count spelled out: reshape cannot infer -1 for an empty batch
         dmat = dout.reshape(dout.shape[0], self.c_out, dout.shape[2] * dout.shape[3])
+        weight_grad = None
         if not self.frozen:
-            # one GEMM over all (image, pixel) pairs, image-major: the k-major
-            # columns are that (K, B*Ho*Wo) matrix already; moving dout's batch
-            # axis copies whole pixel rows, unlike a (B*Ho*Wo, K) transpose
             cols = self._kept(self._cols)
             k = cols.shape[0]
-            np.matmul(dmat.transpose(1, 0, 2).reshape(self.c_out, -1),
-                      cols.reshape(k, -1).T,
-                      out=self.weight.grad.reshape(self.c_out, k))
-            np.sum(dout, axis=(0, 2, 3), out=self.bias.grad)
+
+            def weight_grad():
+                # one GEMM over all (image, pixel) pairs, image-major: the
+                # k-major columns are that (K, B*Ho*Wo) matrix already; moving
+                # dout's batch axis copies whole pixel rows, unlike a
+                # (B*Ho*Wo, K) transpose
+                np.matmul(dmat.transpose(1, 0, 2).reshape(self.c_out, -1),
+                          cols.reshape(k, -1).T,
+                          out=self.weight.grad.reshape(self.c_out, k))
+                np.sum(dout, axis=(0, 2, 3), out=self.bias.grad)
         if not input_grad:
+            if weight_grad is not None:
+                weight_grad()
             return None
         weight_t = self.weight.value.reshape(self.c_out, -1).T
         dx = np.empty(x_shape)
-        dcols = np.empty((min(len(dx), CHUNK),) + weight_t.shape[:1] + dmat.shape[2:])
+        dcols = np.empty((_slots(),) + weight_t.shape[:1] + dmat.shape[2:])
         grid = self._grid(x_shape, np.empty)
 
         def fold(start, stop, slot):
@@ -299,7 +321,7 @@ class Conv2d(Layer):
                                        self.kw, self.stride, self.padding,
                                        grid[slot:slot + stop - start])
 
-        _deal(len(dx), fold)
+        _deal(len(dx), fold, weight_grad)
         return dx
 
 

@@ -638,6 +638,56 @@ class TestReproduce:
         for name in ("report.txt", "config-resolved.txt"):
             assert (fresh / name).read_bytes() == (first / name).read_bytes(), name
 
+    def test_stored_cell_unlike_source_only_exits_2(self, prep_dir, tiny_cfg_path,
+                                                    tmp_path, capsys):
+        """With the encoder bypassed an LRS-DAG cell scores the phase-1
+        model, so a stored cell whose bypassed counts differ from Source
+        only's (valid JSON, same config and digest) refuses the rerun."""
+        run_dir = tmp_path / "run"
+        argv = ("reproduce", "--experiment", "fcn-mnist-syn", "--config",
+                tiny_cfg_path, "--data-dir", prep_dir, "--run-dir", str(run_dir))
+        assert run(*argv) == 0
+        cell = run_dir / "cells" / "lrsdag.coral.random.trial0.json"
+        payload = json.loads(cell.read_text(encoding="utf-8"))
+        counts = payload["report"]["confusion"]["target_without"]
+        label = next(i for i in range(10) if counts[i][i])
+        counts[label][label] -= 1  # one prediction moved to another class
+        counts[label][(label + 1) % 10] += 1
+        cell.write_text(json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8")
+        before = tree_bytes(run_dir)
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "lrsdag.coral.random.trial0.json" in err
+        assert "baseline.source_trained.-.trial0.json" in err
+        assert tree_bytes(run_dir) == before
+
+    def test_computed_cell_unlike_source_only_exits_2(self, prep_dir, tiny_cfg_path,
+                                                      tmp_path, capsys, monkeypatch):
+        """A fresh run whose first encoder-bearing evaluation flips one
+        encoder-bypassed prediction writes no report."""
+        orig = evaluate._shared_n1_predictions
+        flipped = []
+
+        def flip_once(net, ds, settings):
+            preds = orig(net, ds, settings)
+            if net.encoder is not None and not flipped:
+                preds[0, 0] = (preds[0, 0] + 1) % 10
+                flipped.append(ds.name)
+            return preds
+
+        monkeypatch.setattr(evaluate, "_shared_n1_predictions", flip_once)
+        run_dir = tmp_path / "run"
+        assert run("reproduce", "--experiment", "fcn-mnist-syn", "--config",
+                   tiny_cfg_path, "--data-dir", prep_dir, "--run-dir", str(run_dir)) == 2
+        assert flipped
+        err = capsys.readouterr().err
+        assert "baseline.source_trained.-.trial0.json" in err
+        named = [c.path(str(run_dir), 0) for c in engine._cells(config.load(tiny_cfg_path))
+                 if c.family == "lrsdag" and c.path(str(run_dir), 0) in err]
+        assert len(named) == 1
+        assert not (run_dir / "report.txt").exists()
+
     def test_unknown_experiment_is_usage_error(self, prep_dir):
         assert run("reproduce", "--experiment", "no-such",
                    "--data-dir", prep_dir) == 1

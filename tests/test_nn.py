@@ -1,5 +1,7 @@
 import os
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -824,6 +826,74 @@ class TestConvChunks:
             assert sorted(seen) == slice_sizes(len(x), lanes)
             seen.clear()
 
+    @pytest.mark.parametrize("n", [0, 1, 3, 70])
+    def test_weight_gradient_is_one_item_run_once(self, n, monkeypatch):
+        """A backward that computes dx hands `_deal` its weight and bias
+        gradients as one extra item, run once, with the bits of a backward
+        that computes them alone."""
+        rng = np.random.default_rng(n + 3)
+        conv = nn.Conv2d(3, 5, 3, 3, 1, 1, rng=rng)
+        x = rng.normal(size=(n, 3, 9, 9))
+        dout = rng.normal(size=conv.forward(x).shape)
+        conv.backward(dout, input_grad=False)
+        alone = (conv.weight.grad.tobytes(), conv.bias.grad.tobytes())
+        runs = []
+        orig = nn._deal
+
+        def deal(count, work, extra=None):
+            if extra is None:
+                return orig(count, work)
+            return orig(count, work, lambda: runs.append(count) or extra())
+
+        monkeypatch.setattr(nn, "_deal", deal)
+        for lanes in LANE_COUNTS:
+            monkeypatch.setattr(nn, "LANES", lanes)
+            conv.weight.grad[:] = np.nan
+            conv.bias.grad[:] = np.nan
+            conv.forward(x)
+            conv.backward(dout)
+            assert runs == [n]
+            assert (conv.weight.grad.tobytes(), conv.bias.grad.tobytes()) == alone
+            runs.clear()
+            # without dx, or on a frozen layer, nothing is dealt as an item
+            conv.forward(x)
+            conv.backward(dout, input_grad=False)
+            conv.frozen = True
+            conv.forward(x)
+            conv.backward(dout)
+            conv.frozen = False
+            assert runs == []
+
+    def test_a_slow_lane_changes_no_bit(self, monkeypatch):
+        """Lanes take the next item not yet taken, so a lane that falls
+        behind takes fewer; every image is still one GEMM and one col2im
+        of its own, and dx, dW and db keep their bits."""
+        rng = np.random.default_rng(4)
+        conv = nn.Conv2d(3, 5, 3, 3, 1, 1, rng=rng)
+        x = rng.normal(size=(70, 3, 9, 9))
+        dout = rng.normal(size=conv.forward(x).shape)
+
+        def grads():
+            conv.forward(x)
+            dx = conv.backward(dout)
+            return dx.tobytes(), conv.weight.grad.tobytes(), conv.bias.grad.tobytes()
+
+        monkeypatch.setattr(nn, "LANES", 2)
+        want = grads()
+        taken = []
+        orig = tc.col2im
+
+        def col2im(*args):
+            taken.append(threading.current_thread() is threading.main_thread())
+            if taken[-1]:
+                time.sleep(0.05)
+            return orig(*args)
+
+        monkeypatch.setattr(tc, "col2im", col2im)
+        assert grads() == want
+        assert len(taken) == len(slice_sizes(len(x), 2))
+        assert sum(taken) < len(taken) - sum(taken)
+
 
 needs_blas_setter = pytest.mark.skipif(nn._BLAS_THREADS is None,
                                        reason="NumPy's BLAS has no OpenBLAS thread setter")
@@ -859,6 +929,39 @@ class TestLanes:
         conv = nn.Conv2d(1, 2, 3, 3, 1, 1, rng=np.random.default_rng(0))
         with pytest.raises(LaneFailure, match="in a lane"):
             conv.forward(np.ones((2 * nn.CHUNK, 1, 5, 5)))
+        assert threading.active_count() == threads
+
+    def test_every_item_taken_once_under_contention(self, monkeypatch):
+        """More lanes than cores and a short switch interval: each slice
+        and the extra item still go to exactly one lane, and every slice
+        fits its lane's slot of a `_slots()`-image buffer."""
+        monkeypatch.setattr(nn, "LANES", nn.CHUNK)
+        taken, extras = [], []
+
+        def work(start, stop, slot):
+            assert slot + stop - start <= nn._slots()
+            taken.append(start)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                nn._deal(401, work, lambda: extras.append(1))
+                assert sorted(taken) == list(range(401)) and extras == [1]
+                taken.clear()
+                extras.clear()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("lanes", LANE_COUNTS)
+    def test_weight_gradient_exception_reaches_the_caller(self, lanes, monkeypatch):
+        monkeypatch.setattr(nn, "LANES", lanes)
+        threads = threading.active_count()
+        conv = nn.Conv2d(1, 2, 3, 3, 1, 1, rng=np.random.default_rng(0))
+        out = conv.forward(np.ones((2 * nn.CHUNK, 1, 5, 5)))
+        conv.weight.grad.flags.writeable = False  # the GEMM's out= write raises
+        with pytest.raises(ValueError, match="read-only"):
+            conv.backward(np.ones_like(out))
         assert threading.active_count() == threads
 
     def test_failed_setter_lookup_gives_one_lane(self, monkeypatch):
