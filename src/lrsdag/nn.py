@@ -295,14 +295,16 @@ class Conv2d(Layer):
         if not self.frozen:
             cols = self._kept(self._cols)
             k = cols.shape[0]
+            # made here, so that the lane taking the item allocates nothing
+            moved = np.empty((self.c_out,) + dmat.shape[::2])
 
             def weight_grad():
                 # one GEMM over all (image, pixel) pairs, image-major: the
                 # k-major columns are that (K, B*Ho*Wo) matrix already; moving
                 # dout's batch axis copies whole pixel rows, unlike a
                 # (B*Ho*Wo, K) transpose
-                np.matmul(dmat.transpose(1, 0, 2).reshape(self.c_out, -1),
-                          cols.reshape(k, -1).T,
+                np.copyto(moved, dmat.transpose(1, 0, 2))
+                np.matmul(moved.reshape(self.c_out, -1), cols.reshape(k, -1).T,
                           out=self.weight.grad.reshape(self.c_out, k))
                 np.sum(dout, axis=(0, 2, 3), out=self.bias.grad)
         if not input_grad:

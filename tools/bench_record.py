@@ -1,6 +1,6 @@
 """Record the benchmark of a checkout into one JSON file, or compare two.
 
-    python3 tools/bench_record.py record --out BENCH_26.json [--quick] [--checkout DIR]
+    python3 tools/bench_record.py record --out BENCH.json [--quick] [--checkout DIR]
     python3 tools/bench_record.py compare PARENT.json CHANGE.json
 
 `record` runs `perfbench/run.py` in the checkout (this one by default) for
