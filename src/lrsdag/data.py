@@ -12,6 +12,7 @@ import math
 import os
 import struct
 import tempfile
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,9 @@ IDX_UBYTE = 0x08
 # make_syn_mnist sums an image's pixels for the contrast step's mean; no
 # image it is given has more pixels than this
 MAX_IMAGE_PIXELS = 2 ** 32
+
+# held while `atomic_open` reads the process's umask, which means setting it
+_UMASK_LOCK = threading.Lock()
 
 
 class DataError(Exception):
@@ -122,8 +126,9 @@ def atomic_open(path):
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    umask = os.umask(0)  # reading the umask means setting it
-    os.umask(umask)
+    with _UMASK_LOCK:
+        umask = os.umask(0)
+        os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
             os.chmod(tmp, 0o666 & ~umask)  # mkstemp made it 0600

@@ -69,8 +69,12 @@ def build_model(model, seed):
 
 
 def checksum(net, blocks=("n1", "n2")):
-    """SHA-256 over raw parameter bytes of the named blocks."""
-    return hashlib.sha256(net.param_bytes(blocks)).hexdigest()
+    """SHA-256 over raw parameter bytes of the named blocks: the digest of
+    `param_bytes`, fed one parameter at a time instead of joined."""
+    h = hashlib.sha256()
+    for p in net.all_params(blocks):
+        h.update(p.value)
+    return h.hexdigest()
 
 
 def data_digest(bundle):
@@ -237,9 +241,11 @@ class Trial:
     DomainData of `evaluate.Features`, None for a split not named; every
     pretrained method trains and is scored on it.  No Network is kept, so
     no gradient buffer or layer cache outlives the feature pass, and
-    `network()` rebuilds the phase-1 model, N1 frozen, for one cell.
+    `network()` rebuilds the phase-1 model for one cell, its frozen N1 the
+    Trial's own arrays (`_train` checks that no fit changes them).
     `history` is the phase-1 loss history when phase 1 ran here, () for a
-    loaded checkpoint.
+    loaded checkpoint.  `lanes` is how many cells may run at once: one
+    for a network whose convs deal their images over the lanes.
     """
 
     def __init__(self, net, bundle, splits, history=()):
@@ -249,6 +255,7 @@ class Trial:
             else None for name in SPLITS})
         self.state = nn.network_state(net)
         self.history = tuple(history)
+        self.lanes = 1 if net.holds_conv() else nn.LANES
 
     @classmethod
     def start(cls, bundle, cfg, seed, pretrained_path=None, splits=SPLITS):
@@ -265,7 +272,7 @@ class Trial:
         return cls(net, bundle, splits, history)
 
     def network(self):
-        return nn.rebuild(*self.state)
+        return nn.rebuild(*self.state, share=("n1",))
 
 
 def _lrsdag_step(net, bundle, cfg, seed):
@@ -580,7 +587,11 @@ def _reproduce_trial(bundle, cfg, run_dir, trial, todo, digest):
     The trial's phase-1 checkpoint is trained first, if missing.  The
     cells that do not start from phase 1 run next, before the trial's
     cache exists; then one Trial, over the splits the remaining cells
-    read, serves them all.  It is freed when this returns.
+    read, serves them all, dealt over its `lanes` (`nn.deal`) with
+    OpenBLAS at one thread, which would spin against them.  A cell reads
+    only the Trial and its own seeds and writes only its own files, so no
+    bit depends on the lane that runs it.  The Trial is freed when this
+    returns, and what the lanes freed is handed back to the system.
     """
     pretrained = [c for c in todo if METHODS[c.method].pretrained]
     path = ensure_pretrained(bundle, cfg, run_dir, trial, digest) if pretrained else None
@@ -590,8 +601,10 @@ def _reproduce_trial(bundle, cfg, run_dir, trial, todo, digest):
         splits = set(TEST_SPLITS).union(
             *(METHODS[c.method].reads(c.cfg) for c in pretrained))
         cache = Trial.start(bundle, cfg, cfg.seed + trial, path, splits)
-        for c in pretrained:
-            out[c] = _compute_cell(c, bundle, cfg, run_dir, trial, cache, digest)
+        with nn.one_blas_thread(cache.lanes > 1):
+            out.update(zip(pretrained, nn.deal(pretrained, lambda c, _: _compute_cell(
+                c, bundle, cfg, run_dir, trial, cache, digest), cache.lanes)))
+        nn.trim_heap()
     return out
 
 

@@ -84,38 +84,59 @@ _BLAS_THREADS = _find_blas_threads()
 LANES = _lane_count(_BLAS_THREADS)
 
 
+@contextlib.contextmanager
+def one_blas_thread(hold=True):
+    """NumPy's OpenBLAS held at one thread inside the block, its count
+    restored afterwards, also when the block raises; with `hold` False, or
+    without an OpenBLAS setter, the block runs as it is."""
+    if not hold or _BLAS_THREADS is None:
+        yield
+        return
+    get, put = _BLAS_THREADS
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def trim_heap():
+    """Hand the heap's free pages back to the system: glibc's
+    malloc_trim(0), found through ctypes, skipped where it is absent."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 def _slots():
     """Images in a buffer the lanes share: any lane may take any slice."""
     return LANES * (CHUNK // LANES)
 
 
-def _deal(n, work, extra=None):
-    """Call work(start, stop, slot) for every slice of CHUNK // LANES images
-    of range(n), and extra() once when it is given, over at most LANES
-    lanes.  Each lane takes the next item not yet taken, `extra` first,
-    until none is left.  Lane 0 runs on this thread and every other lane on
-    a thread of its own, joined before this returns; `slot` is the taking
-    lane's offset into a buffer of `_slots()` images.  An exception raised
-    in any lane is re-raised here."""
-    step = CHUNK // LANES
-    items = [extra] * (extra is not None) + list(range(0, n, step))
-    lanes = max(1, min(LANES, len(items)))
-    # list.pop is atomic, so each item goes to one lane; a lane stops at
-    # the first None, and there is one None per lane under the items
-    todo = [None] * lanes + items[::-1]
-    errors = []
+def deal(items, work, lanes=None):
+    """[work(item, lane) for item in items], run over at most `lanes` lanes
+    (LANES when None).  Each lane takes the next item not yet taken;
+    lane 0 runs on this thread and every other lane on a thread of its
+    own, joined before this returns.  Once an item raises, no lane takes
+    another, and the exception of the first item in `items` that raised is
+    re-raised: every item before it was taken, so timing cannot change it."""
+    lanes = max(1, min(LANES if lanes is None else lanes, len(items)))
+    # list.pop is atomic, so each index goes to one lane; a lane stops at
+    # the first None, and there is one None per lane under the indices
+    todo = [None] * lanes + list(range(len(items)))[::-1]
+    results, errors = [None] * len(items), []
 
     def run(lane):
-        try:
-            for item in iter(todo.pop, None):
-                if item is extra:
-                    extra()
-                else:
-                    work(item, min(item + step, n), lane * step)
-        except BaseException as exc:
-            if lane == 0:
-                raise
-            errors.append(exc)  # re-raised on the calling thread
+        for i in iter(todo.pop, None):
+            try:
+                results[i] = work(items[i], lane)
+            except BaseException as exc:
+                errors.append((i, exc))
+                del todo[lanes:]  # the indices not taken; the Nones stay
 
     threads = []
     try:
@@ -125,20 +146,29 @@ def _deal(n, work, extra=None):
             threads.append(thread)
         run(0)
     finally:
+        del todo[lanes:]  # stops the other lanes when lane 0 was interrupted
         for thread in threads:
             thread.join()
     if errors:
-        raise errors[0]
+        raise min(errors, key=lambda error: error[0])[1]
+    return results
 
 
 class Parameter:
-    """A trainable array and its gradient buffer."""
+    """A trainable array and its gradient buffer, made at its first use, so
+    that a parameter no backward writes (a frozen one) has none."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("value", "_grad")
 
     def __init__(self, value):
         self.value = np.ascontiguousarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self._grad = None
+
+    @property
+    def grad(self):
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
 
 
 class Layer:
@@ -247,7 +277,7 @@ class Conv2d(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x, keep=True):
-        """The layer's output, its images dealt over the lanes (`_deal`),
+        """The layer's output, its images dealt over the lanes (`deal`),
         each of which unfolds, multiplies and adds the bias to its slice.
         The im2col columns are read only for the weight gradient: a
         trainable layer unfolds each slice into its place in the batch's
@@ -268,14 +298,17 @@ class Conv2d(Layer):
 
         # one GEMM per image: folded into one (K, B*Ho*Wo) product, an image's
         # output would round differently with the batch size
-        def unfold(start, stop, slot):
+        step = CHUNK // LANES
+
+        def unfold(start, lane):
+            stop, slot = min(start + step, b), lane * step
             at = cols[:, start:stop] if kept else cols[:, slot:slot + stop - start]
             tc.im2col(x[start:stop], self.kh, self.kw, self.stride, self.padding, at,
                       padded[slot:slot + stop - start])
             np.matmul(weight, at.transpose(1, 0, 2), out=out[start:stop])
             out[start:stop] += bias
 
-        _deal(b, unfold)
+        deal(range(0, b, step), unfold)
         return out.reshape(b, self.c_out, h_out, w_out)
 
     def _grid(self, x_shape, make):
@@ -286,7 +319,7 @@ class Conv2d(Layer):
         return make((_slots(), c, h + 2 * p, w + 2 * p))
 
     def backward(self, dout, input_grad=True):
-        # with dx, dW is one item `_deal` hands a lane beside the dx slices,
+        # with dx, dW is one item `deal` hands a lane beside the dx slices,
         # still one GEMM over the batch: a split would change its bits
         x_shape = self._kept(self._x_shape)
         # the pixel count spelled out: reshape cannot infer -1 for an empty batch
@@ -297,6 +330,7 @@ class Conv2d(Layer):
             k = cols.shape[0]
             # made here, so that the lane taking the item allocates nothing
             moved = np.empty((self.c_out,) + dmat.shape[::2])
+            weight_out, bias_out = self.weight.grad, self.bias.grad
 
             def weight_grad():
                 # one GEMM over all (image, pixel) pairs, image-major: the
@@ -305,8 +339,8 @@ class Conv2d(Layer):
                 # (B*Ho*Wo, K) transpose
                 np.copyto(moved, dmat.transpose(1, 0, 2))
                 np.matmul(moved.reshape(self.c_out, -1), cols.reshape(k, -1).T,
-                          out=self.weight.grad.reshape(self.c_out, k))
-                np.sum(dout, axis=(0, 2, 3), out=self.bias.grad)
+                          out=weight_out.reshape(self.c_out, k))
+                np.sum(dout, axis=(0, 2, 3), out=bias_out)
         if not input_grad:
             if weight_grad is not None:
                 weight_grad()
@@ -315,15 +349,20 @@ class Conv2d(Layer):
         dx = np.empty(x_shape)
         dcols = np.empty((_slots(),) + weight_t.shape[:1] + dmat.shape[2:])
         grid = self._grid(x_shape, np.empty)
+        step = CHUNK // LANES
 
-        def fold(start, stop, slot):
+        def fold(start, lane):
+            if start is weight_grad:
+                return weight_grad()
+            stop, slot = min(start + step, len(dx)), lane * step
             part = dcols[slot:slot + stop - start]
             np.matmul(weight_t, dmat[start:stop], out=part)
             dx[start:stop] = tc.col2im(part, (stop - start,) + x_shape[1:], self.kh,
                                        self.kw, self.stride, self.padding,
                                        grid[slot:slot + stop - start])
 
-        _deal(len(dx), fold, weight_grad)
+        deal([weight_grad] * (weight_grad is not None) + list(range(0, len(dx), step)),
+             fold)
         return dx
 
 
@@ -397,25 +436,16 @@ class Network:
         finally:
             self._keep = keep
 
-    @contextlib.contextmanager
+    def holds_conv(self):
+        return any(isinstance(layer, Conv2d) for block in self.blocks().values()
+                   for layer in block)
+
     def _pinned(self):
-        """A pass of a network that holds a Conv2d runs with NumPy's
-        OpenBLAS at one thread, its count restored afterwards, also when
-        the pass raises: the conv lanes take the CPUs, and a BLAS worker
+        """A pass of a network that holds a Conv2d runs under
+        `one_blas_thread`: the conv lanes take the CPUs, and a BLAS worker
         woken by any GEMM of the pass would spin against them.  Other
         networks keep the BLAS's own thread count."""
-        if _BLAS_THREADS is None or not any(
-                isinstance(layer, Conv2d) for block in self.blocks().values()
-                for layer in block):
-            yield
-            return
-        get, put = _BLAS_THREADS
-        before = get()
-        put(1)
-        try:
-            yield
-        finally:
-            put(before)
+        return one_blas_thread(self.holds_conv())
 
     def forward(self, batch, use_encoder=False):
         """Run the stack, `head` over `forward_features`; returns
@@ -650,10 +680,11 @@ def network_state(network):
     return structure, arrays
 
 
-def rebuild(structure, arrays):
+def rebuild(structure, arrays, share=()):
     """A fresh Network from `network_state` output (or an open checkpoint);
     every parameter is copied out of `arrays`, so training the network
-    leaves them as they were."""
+    leaves them as they were, except in the blocks named in `share`, whose
+    parameters are the arrays themselves."""
     blocks = {}
     for name, descriptors in structure["blocks"].items():
         layers = [_layer_from_descriptor(d) for d in descriptors]
@@ -664,7 +695,8 @@ def rebuild(structure, arrays):
                     raise NetworkError(
                         f"checkpoint array {name}.{i}.{j} has shape {stored.shape}, "
                         f"expected {p.value.shape}")
-                p.value[:] = stored
+                p.value = (stored if name in share
+                           else np.array(stored, np.float64, order="C"))
         blocks[name] = layers
     return Network(structure["arch"], blocks["n1"], blocks["n2"],
                    split_shape=structure["split_shape"],

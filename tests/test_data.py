@@ -1,6 +1,8 @@
 import os
 import stat
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -115,6 +117,34 @@ class TestAtomicWrite:
             os.umask(old)
         for name in ("report.txt", "model.npz"):
             assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
+
+    def test_threads_leave_umask_and_modes(self, tmp_path):
+        """`atomic_open` reads the process-wide umask by setting it; rounds
+        of eight threads writing 50 files each, switching as often as they
+        can, leave it at 022 and every file at mode 0644.  Without the lock
+        about one round in three breaks that, so 20 rounds all but always
+        catch it."""
+        old, interval = os.umask(0o022), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for r in range(20):
+                def write(t):
+                    for i in range(50):
+                        data.atomic_write_text(tmp_path / f"{r}.{t}.{i}.txt", "x\n")
+
+                threads = [threading.Thread(target=write, args=(t,)) for t in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert os.umask(0o022) == 0o022, r
+        finally:
+            sys.setswitchinterval(interval)
+            os.umask(old)
+        names = os.listdir(tmp_path)
+        assert len(names) == 20 * 8 * 50
+        assert {stat.S_IMODE(os.stat(tmp_path / n).st_mode) for n in names} == {0o644}
 
 
 class TestPreprocess:

@@ -1,7 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -192,6 +195,33 @@ class TestAdapt:
         # the rejected call leaves the caller's network as it was
         assert net.encoder is None
         assert not any(layer.frozen for layer in net.n1 + net.n2)
+
+
+class TestChecksum:
+    @pytest.mark.parametrize("build", [nn.build_fcn, nn.build_cnn], ids=["fcn", "cnn"])
+    def test_equals_the_digest_of_param_bytes(self, build):
+        """Fed one parameter at a time, the digest is that of the joined
+        bytes, on a network with an encoder too."""
+        plain, with_encoder = build(seed=5), build(seed=6)
+        nn.build_encoder(with_encoder, seed=7)
+        for net in (plain, with_encoder):
+            for blocks in (("n1", "n2"), ("n1",), ("encoder",), nn.BLOCK_NAMES):
+                assert (engine.checksum(net, blocks)
+                        == hashlib.sha256(net.param_bytes(blocks)).hexdigest()), blocks
+        assert engine.checksum(plain) != engine.checksum(with_encoder)
+
+
+class TestGradientBuffers:
+    @pytest.mark.parametrize("model", ["fcn", "cnn"])
+    def test_adaptation_makes_no_frozen_buffer(self, model):
+        """A gradient buffer is made at its first use, so after an
+        adaptation fit no N1 or N2 parameter holds one."""
+        bundle = blob_bundle(n_train=20, n_test=10)
+        net = engine.build_model(model, seed=3)
+        engine.adapt(net, bundle.target_train, None,
+                     quick_cfg(model=model, loss="cls", max_adapt_epochs=1), seed=0)
+        assert all(p._grad is None for p in net.all_params(("n1", "n2")))
+        assert all(p._grad is not None for p in net.all_params(("encoder",)))
 
 
 class TestForwardCaches:
@@ -702,11 +732,13 @@ class TestReproduce:
                 path = os.path.join(root, name)
                 rel = os.path.relpath(path, run_dir)
                 if name.endswith(".json"):
-                    payload = json.loads(open(path, "rb").read())
+                    with open(path, "rb") as fh:
+                        payload = json.load(fh)
                     payload.pop("wall_clock")
                     out[rel] = payload
                 elif name.endswith((".txt", ".csv")):
-                    out[rel] = open(path, "rb").read()
+                    with open(path, "rb") as fh:
+                        out[rel] = fh.read()
         return out
 
     @pytest.fixture(scope="class")
@@ -726,12 +758,14 @@ class TestReproduce:
 
         saved = []
         orig = engine._save_record
+        lock = threading.Lock()  # cells on two lanes may save at once
 
         def save(path, rec):
-            if len(saved) == k:
-                raise KeyboardInterrupt
-            orig(path, rec)
-            saved.append(os.path.basename(path))
+            with lock:
+                if len(saved) == k:
+                    raise KeyboardInterrupt
+                orig(path, rec)
+                saved.append(os.path.basename(path))
 
         run_dir = tmp_path / "cut"
         monkeypatch.setattr(engine, "_save_record", save)
@@ -747,6 +781,98 @@ class TestReproduce:
         engine.reproduce(bundle, cfg, str(run_dir))
         assert len(computed) == 28 - k
         assert self._outputs(run_dir) == want
+
+    @staticmethod
+    def _run(bundle, cfg, run_dir):
+        """`_outputs` of a fresh run, plus its phase-1 checkpoints' bytes;
+        the thread count is back to its earlier value afterwards."""
+        threads = threading.active_count()
+        engine.reproduce(bundle, cfg, str(run_dir))
+        assert threading.active_count() == threads
+        out = TestReproduce._outputs(run_dir)
+        for name in os.listdir(run_dir / "checkpoints"):
+            out[name] = (run_dir / "checkpoints" / name).read_bytes()
+        return out
+
+    def test_bytes_equal_at_every_lane_count(self, tmp_path, monkeypatch):
+        """A trial's pretrained cells are dealt over nn.LANES lanes; the run
+        dir has the same bytes at 1, 2 and 3 lanes, and with one cell slowed
+        so that another lane takes more of them."""
+        bundle = blob_bundle(n_train=40, n_test=20)
+        cfg = quick_cfg(source_epochs=2, max_adapt_epochs=2)
+        runs = []
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(nn, "LANES", lanes)
+            runs.append(self._run(bundle, cfg, tmp_path / f"lanes{lanes}"))
+        monkeypatch.setattr(nn, "LANES", 2)
+        ran = []
+        orig = engine._compute_cell
+
+        def compute(cell, *args):
+            ran.append(threading.current_thread())
+            if cell.key == "source_trained":
+                ran.append("slow")
+                time.sleep(0.5)
+            return orig(cell, *args)
+
+        monkeypatch.setattr(engine, "_compute_cell", compute)
+        runs.append(self._run(bundle, cfg, tmp_path / "slowed"))
+        assert all(run == runs[0] for run in runs[1:])
+        # the cells, 12 loss CSVs, report.*, the resolved config, the checkpoint
+        assert len(runs[0]) == 14 + 12 + 2 + 1 + 1
+        slow = ran[ran.index("slow") - 1]
+        ran = [t for t in ran if t != "slow"]
+        assert len(ran) == 14 and ran.count(slow) < len(ran) - ran.count(slow)
+
+    def test_first_failed_cell_in_inventory_order_is_raised(self, tmp_path,
+                                                              monkeypatch):
+        """Two cells raise: the one earlier in inventory order, which raises
+        later, is what the run raises (NonFiniteLoss, exit code 3, not
+        EngineError's 2), no lane takes a cell after the first failure, and
+        a rerun resumes to an uninterrupted run's bytes."""
+        bundle = blob_bundle(n_train=40, n_test=20)
+        cfg = quick_cfg(source_epochs=2, max_adapt_epochs=2)
+        monkeypatch.setattr(nn, "LANES", 2)
+        want = self._run(bundle, cfg, tmp_path / "whole")
+        orig = engine._compute_cell
+
+        def compute(cell, *args):
+            if cell.key == "finetune_n2":
+                time.sleep(0.5)
+                raise engine.NonFiniteLoss("earlier cell", 0)
+            if cell.key == "cls":
+                raise engine.EngineError("later cell")
+            return orig(cell, *args)
+
+        run_dir = tmp_path / "cut"
+        threads = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_compute_cell", compute)
+            with pytest.raises(engine.NonFiniteLoss, match="earlier cell"):
+                engine.reproduce(bundle, cfg, str(run_dir))
+        assert threading.active_count() == threads
+        assert not (run_dir / "report.txt").exists()
+        # after the first failure no lane took another cell
+        assert sorted(os.listdir(run_dir / "cells")) == [
+            "baseline.source_trained.-.trial0.json", "baseline.target_trained.-.trial0.json"]
+        engine.reproduce(bundle, cfg, str(run_dir))
+        assert self._run(bundle, cfg, run_dir) == want
+
+    def test_conv_model_cells_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        """A conv network deals its images over the lanes inside each conv,
+        so its cells run one at a time on the calling thread."""
+        monkeypatch.setattr(nn, "LANES", 2)
+        monkeypatch.setattr(engine, "method_inventory", lambda: [
+            ("baseline", "source_trained", "-"), ("baseline", "finetune_n2", "-"),
+            ("lrsdag", "cls", "-")])
+        ran = []
+        orig = engine._compute_cell
+        monkeypatch.setattr(engine, "_compute_cell", lambda *args: ran.append(
+            threading.current_thread()) or orig(*args))
+        engine.reproduce(blob_bundle(n_train=20, n_test=10),
+                         quick_cfg(model="cnn", source_epochs=1, max_adapt_epochs=1),
+                         str(tmp_path))
+        assert ran == [threading.main_thread()] * 3
 
     def test_cells_equal_one_cell_calls(self, tmp_path, monkeypatch):
         bundle = blob_bundle(n_train=40, n_test=20)

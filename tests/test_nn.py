@@ -828,7 +828,7 @@ class TestConvChunks:
 
     @pytest.mark.parametrize("n", [0, 1, 3, 70])
     def test_weight_gradient_is_one_item_run_once(self, n, monkeypatch):
-        """A backward that computes dx hands `_deal` its weight and bias
+        """A backward that computes dx hands `deal` its weight and bias
         gradients as one extra item, run once, with the bits of a backward
         that computes them alone."""
         rng = np.random.default_rng(n + 3)
@@ -838,14 +838,16 @@ class TestConvChunks:
         conv.backward(dout, input_grad=False)
         alone = (conv.weight.grad.tobytes(), conv.bias.grad.tobytes())
         runs = []
-        orig = nn._deal
+        orig = nn.deal
 
-        def deal(count, work, extra=None):
-            if extra is None:
-                return orig(count, work)
-            return orig(count, work, lambda: runs.append(count) or extra())
+        def deal(items, work, lanes=None):
+            def counted(item, lane):
+                if callable(item):  # every other item is a slice's start
+                    runs.append(n)
+                return work(item, lane)
+            return orig(items, counted, lanes)
 
-        monkeypatch.setattr(nn, "_deal", deal)
+        monkeypatch.setattr(nn, "deal", deal)
         for lanes in LANE_COUNTS:
             monkeypatch.setattr(nn, "LANES", lanes)
             conv.weight.grad[:] = np.nan
@@ -932,24 +934,24 @@ class TestLanes:
         assert threading.active_count() == threads
 
     def test_every_item_taken_once_under_contention(self, monkeypatch):
-        """More lanes than cores and a short switch interval: each slice
-        and the extra item still go to exactly one lane, and every slice
-        fits its lane's slot of a `_slots()`-image buffer."""
+        """More lanes than cores and a short switch interval: each item
+        still goes to exactly one lane, each lane is one of LANES, and the
+        results come back in the order of the items."""
         monkeypatch.setattr(nn, "LANES", nn.CHUNK)
-        taken, extras = [], []
+        taken = []
 
-        def work(start, stop, slot):
-            assert slot + stop - start <= nn._slots()
-            taken.append(start)
+        def work(item, lane):
+            assert 0 <= lane < nn.LANES
+            taken.append(item)
+            return -item
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                nn._deal(401, work, lambda: extras.append(1))
-                assert sorted(taken) == list(range(401)) and extras == [1]
+                assert nn.deal(range(401), work) == [-i for i in range(401)]
+                assert sorted(taken) == list(range(401))
                 taken.clear()
-                extras.clear()
         finally:
             sys.setswitchinterval(interval)
 

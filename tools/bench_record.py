@@ -39,6 +39,9 @@ NOTES = [
     "are exact",
     "the tracer books weight-gradient work for frozen layers, which moves "
     "nn.wgrad_useful_ratio, nn.conv_gflop and nn.linear_gflop",
+    "on fcn-reproduce a trial's pretrained cells run on two lanes at once, "
+    "and their spans share the tracer's one stack: span parents, self times "
+    "and the phase-2 epoch figures mix the two lanes' cells",
 ]
 
 # run inside the checkout, so that it reads that checkout's lrsdag
