@@ -47,10 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _run_dir(args):
-    """The run directory, created if missing."""
-    run_dir = args.run_dir or os.environ.get("LRSDAG_RUN_DIR") or "runs"
-    os.makedirs(run_dir, exist_ok=True)
-    return run_dir
+    """The run directory; the first file written into it makes it."""
+    return args.run_dir or os.environ.get("LRSDAG_RUN_DIR") or "runs"
 
 
 def _load_config(args):
@@ -86,9 +84,8 @@ def _parse_syn_params(args):
     for name in ("brightness", "contrast"):
         values[f"{name}_lo"], values[f"{name}_hi"] = getattr(default, name)
     if args.syn_params_file:
-        with open(args.syn_params_file, "r", encoding="utf-8") as fh:
-            values.update(config_file.parse_assignments(
-                fh.read(), dict.fromkeys(values, float)))
+        values.update(config_file.parse_assignments(
+            config_file.read_text(args.syn_params_file), dict.fromkeys(values, float)))
     return data.SynParams(
         flip_prob=values["flip_prob"],
         shear_max_deg=values["shear_max_deg"],
@@ -167,7 +164,6 @@ def cmd_prepare_data(args):
               ("target-train-full", target_full), ("target-train", target_train),
               ("target-tune", target_tune), ("target-val", target_val),
               ("target-test", target_test))
-    os.makedirs(args.out_dir, exist_ok=True)
     files = {}
     for stem, ds in splits:
         images_path, labels_path = data.idx_pair(args.out_dir, stem)
@@ -199,11 +195,7 @@ def cmd_prepare_data(args):
 def cmd_train_source(args):
     cfg = _load_config(args)
     source_train = _load_prepared(args.data_dir, "source_train")
-    run_dir = _run_dir(args)
-    checkpoint = os.path.join(run_dir, "source.npz")
-    _, history = engine._pretrain(source_train, cfg, cfg.seed, checkpoint)
-    engine._write_loss_csv(os.path.join(run_dir, "source-loss.csv"), history)
-    config_file.write_resolved(cfg, run_dir)
+    checkpoint, history = engine.source_run(source_train, cfg, _run_dir(args))
     final = history[-1] if history else float("nan")
     print(f"trained {cfg.model} for {cfg.source_epochs} epochs "
           f"(final loss {final:.6g}); checkpoint at {checkpoint}")
@@ -218,15 +210,7 @@ def cmd_adapt(args):
     bundle = engine.DomainData(**{
         name: _load_prepared(args.data_dir, name) if name in reads else None
         for name in engine.SPLITS})
-    trial = engine.Trial.start(bundle, cfg, cfg.seed, args.checkpoint, reads)
-    run_dir = _run_dir(args)
-    net, history = engine._fit(bundle, cfg, "lrsdag", cfg.seed, trial)
-    adapted = os.path.join(run_dir, "adapted.npz")
-    nn.save_checkpoint(net, adapted,
-                       meta={"phase": "adapted", "loss": cfg.loss,
-                             "sampling": cfg.sampling, "seed": cfg.seed})
-    engine._write_loss_csv(os.path.join(run_dir, "adapt-loss.csv"), history)
-    config_file.write_resolved(cfg, run_dir)
+    adapted, history = engine.adapt_run(bundle, cfg, args.checkpoint, _run_dir(args))
     print(f"adapted with {losses.LOSSES[cfg.loss].display}/{cfg.sampling} for "
           f"{len(history)} epochs; checkpoint at {adapted}")
     return 0
@@ -234,13 +218,8 @@ def cmd_adapt(args):
 
 def cmd_baseline(args):
     cfg = _load_config(args)
-    bundle = _load_bundle(args.data_dir)
-    run_dir = _run_dir(args)
-    averaged, _ = engine.run_trials(bundle, cfg, method=args.kind)
-    evaluate.write_report([averaged], run_dir)
-    engine._save_record(os.path.join(run_dir, f"baseline-{args.kind}.json"),
-                        averaged)
-    config_file.write_resolved(cfg, run_dir)
+    averaged = engine.baseline_run(args.kind, _load_bundle(args.data_dir), cfg,
+                                   _run_dir(args))
     acc = averaged.report.accuracy
     print(f"{averaged.method}: source {acc['source_without']:.2f} / "
           f"target {acc['target_without']:.2f}")
@@ -250,12 +229,11 @@ def cmd_baseline(args):
 def cmd_evaluate(args):
     net, meta = nn.load_checkpoint(args.checkpoint)
     bundle = _load_bundle(args.data_dir)
-    run_dir = _run_dir(args)
     report = evaluate.evaluate_pair(net, bundle.source_test, bundle.target_test)
     record = engine.RunRecord(method=str(meta.get("phase", "model")),
                               strategy=str(meta.get("sampling", "-")),
                               report=report)
-    evaluate.write_report([record], run_dir)
+    evaluate.write_report([record], _run_dir(args))
     for key in evaluate.CELLS:
         print(f"{key}: {report.accuracy[key]:.2f}")
     return 0
@@ -268,24 +246,19 @@ def cmd_grid_search(args):
     if len(val) == 0:
         raise data.DataError("validation split is empty; prepare data with a "
                              "larger corpus or validation fraction")
-    best = engine.grid_search(args.lrs, args.weight_decays, bundle, val, cfg,
-                              method=args.method,
-                              pretrained_path=args.checkpoint)
-    run_dir = _run_dir(args)
-    config_file.write_resolved(best, run_dir, "best-config.txt")
+    best, path = engine.grid_search_run(args.lrs, args.weight_decays, bundle, val,
+                                        cfg, _run_dir(args), method=args.method,
+                                        pretrained_path=args.checkpoint)
     print(f"best lr {best.lr!r}, weight_decay {best.weight_decay!r} "
-          f"(written to {os.path.join(run_dir, 'best-config.txt')})")
+          f"(written to {path})")
     return 0
 
 
 def cmd_reproduce(args):
-    cfg = _load_config(args)
-    cfg = dataclasses.replace(cfg, model=EXPERIMENTS[args.experiment])
+    cfg = dataclasses.replace(_load_config(args), model=EXPERIMENTS[args.experiment])
     bundle = _load_bundle(args.data_dir, target_dir=args.target_dir)
-    run_dir = _run_dir(args)
-    engine.reproduce(bundle, cfg, run_dir)
-    with open(os.path.join(run_dir, "report.txt"), "r", encoding="utf-8") as fh:
-        print(fh.read(), end="")
+    records = engine.reproduce(bundle, cfg, _run_dir(args))
+    print(evaluate.render_report(records)[1], end="")
     return 0
 
 

@@ -122,9 +122,18 @@ def parse_text(text):
     return ExperimentConfig(**parse_assignments(text, types))
 
 
+def read_text(path):
+    """The text of a `key = value` file; one that is not UTF-8 raises
+    ConfigError naming the file and the first byte that does not decode."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
 def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read())
+    return parse_text(read_text(path))
 
 
 def _format(value):
@@ -142,4 +151,6 @@ def render(cfg):
 
 
 def write_resolved(cfg, run_dir, name="config-resolved.txt"):
-    data.atomic_write_text(os.path.join(run_dir, name), render(cfg))
+    """Write `render(cfg)` to run_dir/name; returns the path."""
+    data.atomic_write_text(path := os.path.join(run_dir, name), render(cfg))
+    return path

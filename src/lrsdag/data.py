@@ -119,12 +119,13 @@ class SynParams:
 @contextlib.contextmanager
 def atomic_open(path):
     """A binary file handle on a temporary name in `path`'s directory,
-    renamed to `path` when the block ends, so readers never observe a
-    partial file; if the block raises, the temporary file is removed and
-    `path` is left as it was.  The file gets the mode `open` would give
-    it under the current umask."""
+    made if missing, renamed to `path` when the block ends, so readers
+    never observe a partial file; if the block raises, the temporary file
+    is removed and `path` is left as it was.  The file gets the mode
+    `open` would give it under the current umask."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     with _UMASK_LOCK:
         umask = os.umask(0)

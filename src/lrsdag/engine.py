@@ -423,13 +423,6 @@ def average_records(records):
                    wall_clock=sum(r.wall_clock for r in records))
 
 
-def run_trials(bundle, cfg, method="lrsdag"):
-    """Run cfg.trials independent trials; returns (averaged, per-trial)."""
-    records = [_run(method, bundle, cfg, cfg.seed + trial, None)
-               for trial in range(cfg.trials)]
-    return average_records(records), records
-
-
 def grid_search(lrs, weight_decays, bundle, val, cfg, method="lrsdag",
                 pretrained_path=None):
     """Pick (lr, weight_decay) by validation accuracy.
@@ -522,12 +515,10 @@ def _pretrained_path(cfg, digest, run_dir, trial):
     return path
 
 
-def ensure_pretrained(bundle, cfg, run_dir, trial, digest=None):
-    """Train (once) and persist the phase-1 checkpoint for a trial; one
-    already there must be from `cfg` and from the bundle, whose
-    `data_digest` is `digest` (computed here when None; see
-    `_pretrained_path`)."""
-    digest = data_digest(bundle) if digest is None else digest
+def ensure_pretrained(bundle, cfg, run_dir, trial, digest):
+    """Train (once) and persist the phase-1 checkpoint for a trial, and
+    its loss CSV; one already there must be from `cfg` and from the
+    bundle, whose `data_digest` is `digest` (see `_pretrained_path`)."""
     path = _pretrained_path(cfg, digest, run_dir, trial)
     if os.path.exists(path):
         return path
@@ -540,6 +531,49 @@ def ensure_pretrained(bundle, cfg, run_dir, trial, digest=None):
 def _write_loss_csv(path, history):
     lines = ["epoch,loss"] + [f"{i},{v:.12g}" for i, v in enumerate(history)]
     data.atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+# The writers of `lrsdag train-source`, `adapt`, `baseline` and `grid-search`:
+# each runs at cfg.seed and writes its files and resolved config into run_dir.
+
+def source_run(source_train, cfg, run_dir):
+    """Phase 1 from a fresh model; returns (checkpoint path, loss history)."""
+    path = os.path.join(run_dir, "source.npz")
+    _, history = _pretrain(source_train, cfg, cfg.seed, path)
+    _write_loss_csv(os.path.join(run_dir, "source-loss.csv"), history)
+    write_resolved(cfg, run_dir)
+    return path, history
+
+
+def adapt_run(bundle, cfg, pretrained_path, run_dir):
+    """The LRS-DAG cell of `reproduce` from the phase-1 checkpoint at
+    `pretrained_path` (see `Trial.start`), over a bundle holding the splits
+    `METHODS["lrsdag"].reads(cfg)` names; returns (checkpoint path, loss history)."""
+    trial = Trial.start(bundle, cfg, cfg.seed, pretrained_path, _lrsdag_reads(cfg))
+    net, history = _fit(bundle, cfg, "lrsdag", cfg.seed, trial)
+    path = os.path.join(run_dir, "adapted.npz")
+    nn.save_checkpoint(net, path, meta={"phase": "adapted", "loss": cfg.loss,
+                                        "sampling": cfg.sampling, "seed": cfg.seed})
+    _write_loss_csv(os.path.join(run_dir, "adapt-loss.csv"), history)
+    write_resolved(cfg, run_dir)
+    return path, history
+
+
+def baseline_run(kind, bundle, cfg, run_dir):
+    """cfg.trials trials of one reference procedure; returns their pooled
+    record (`average_records`), whose report and record it writes."""
+    averaged = average_records([run_baseline(kind, bundle, cfg, seed=cfg.seed + t)
+                                for t in range(cfg.trials)])
+    evaluate.write_report([averaged], run_dir)
+    _save_record(os.path.join(run_dir, f"baseline-{kind}.json"), averaged)
+    write_resolved(cfg, run_dir)
+    return averaged
+
+
+def grid_search_run(lrs, weight_decays, bundle, val, cfg, run_dir, **kwargs):
+    """The config `grid_search` picks, and the path it is resolved to."""
+    best = grid_search(lrs, weight_decays, bundle, val, cfg, **kwargs)
+    return best, write_resolved(best, run_dir, "best-config.txt")
 
 
 @dataclass(frozen=True)
@@ -572,10 +606,8 @@ def _compute_cell(cell, bundle, cfg, run_dir, trial, cache, digest):
         rec = run_baseline(cell.key, bundle, cfg, seed=seed, trial=cache)
     else:
         rec = run_lrsdag(bundle, cell.cfg, seed=seed, trial=cache)
-        _write_loss_csv(
-            os.path.join(run_dir,
-                         f"adapt-loss.{cell.key}.{cell.strategy}.trial{trial}.csv"),
-            rec.loss_history)
+        _write_loss_csv(os.path.join(run_dir, f"adapt-loss.{cell.key}."
+                                     f"{cell.strategy}.trial{trial}.csv"), rec.loss_history)
     rec.report.metadata["data_digest"] = digest
     _save_record(cell.path(run_dir, trial), rec)
     return rec
@@ -652,7 +684,6 @@ def reproduce(bundle, cfg, run_dir):
             _check_data(path, rec.report.metadata.get("data_digest"), digest)
             stored[cell] = rec
         _pretrained_path(cfg, digest, run_dir, trial)
-    os.makedirs(os.path.join(run_dir, "cells"), exist_ok=True)
     write_resolved(cfg, run_dir)
     for trial, stored in enumerate(records):
         todo = [c for c in cells if c not in stored]

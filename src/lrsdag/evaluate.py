@@ -172,8 +172,6 @@ def export_embeddings(net, source_ds, target_ds, out_dir, cap=None, seed=0):
     runs once over each set; hfT is the encoder's output h(f(x)) on the
     rows of fT, in the same batches.
     """
-    os.makedirs(out_dir, exist_ok=True)
-
     def clip(ds):
         if cap is None or cap >= len(ds):
             return ds
@@ -218,10 +216,9 @@ def render_report(records):
 
 
 def write_report(records, out_dir):
-    """Write report.csv and report.txt into out_dir atomically."""
-    csv_text, txt = render_report(records)
-    csv_path = os.path.join(out_dir, "report.csv")
-    txt_path = os.path.join(out_dir, "report.txt")
-    data.atomic_write_text(csv_path, csv_text)
-    data.atomic_write_text(txt_path, txt)
-    return csv_path, txt_path
+    """Write `render_report`'s two texts into out_dir, each atomically;
+    returns their paths, the CSV's first."""
+    paths = tuple(os.path.join(out_dir, name) for name in ("report.csv", "report.txt"))
+    for path, text in zip(paths, render_report(records)):
+        data.atomic_write_text(path, text)
+    return paths

@@ -8,7 +8,6 @@ can run without any external download.
 """
 
 import functools
-import os
 
 import numpy as np
 
@@ -137,7 +136,6 @@ def generate_digits(n, seed, size=28):
 
 def write_corpus(out_dir, n_train, n_test, seed):
     """Write train/test IDX pairs of generated digits into out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for split, count, tag in (("train", n_train, 0), ("test", n_test, 1)):
         images, labels = generate_digits(count, seed + tag)

@@ -706,15 +706,14 @@ def rebuild(structure, arrays, share=()):
 def save_checkpoint(network, path, meta=None):
     """Serialize structure, parameters and metadata; round-trips bit-exactly.
 
-    Missing parent directories are created.  The archive streams into a
-    temporary file that replaces `path` only once it is complete; a
-    failed save leaves neither behind.
+    Missing parent directories are made (`atomic_open`).  The archive
+    streams into a temporary file that replaces `path` only once it is
+    complete; a failed save leaves neither behind.
     """
     structure, arrays = network_state(network)
     structure["meta"] = meta or {}
     arrays = {"structure": np.array(json.dumps(structure, sort_keys=True)),
               **arrays}
-    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     with atomic_open(path) as fh:
         np.savez(fh, **arrays)
 

@@ -56,7 +56,8 @@ def desk(tmp_path_factory):
 @pytest.fixture(scope="module")
 def pretrained_paths(desk):
     run_dir = os.path.join(desk["root"], "runs")
-    return [engine.ensure_pretrained(desk["bundle"], DESK_CFG, run_dir, t)
+    digest = engine.data_digest(desk["bundle"])
+    return [engine.ensure_pretrained(desk["bundle"], DESK_CFG, run_dir, t, digest)
             for t in range(DESK_CFG.trials)]
 
 

@@ -32,6 +32,22 @@ def tree_bytes(root):
     return out
 
 
+def reproduce_files(trials):
+    """The files `reproduce` leaves in its run dir: per trial a cell record
+    for each of the 14 report rows, a loss curve for each of the 11
+    LRS-DAG rows, the phase-1 checkpoint and its loss curve; once, the
+    resolved config and the report."""
+    files = {"config-resolved.txt", "report.csv", "report.txt"}
+    for t in range(trials):
+        for family, key, strategy in engine.method_inventory():
+            files.add(f"cells/{family}.{key}.{strategy}.trial{t}.json")
+            if family == "lrsdag":
+                files.add(f"adapt-loss.{key}.{strategy}.trial{t}.csv")
+        files |= {f"checkpoints/pretrained-trial{t}.npz", f"source-loss-trial{t}.csv"}
+    assert len(files) == 3 + (14 + 11 + 2) * trials
+    return files
+
+
 def read_prepared(data_dir, stem, name, split):
     """A prepared split read straight from its two IDX files."""
     images = data.read_idx(os.path.join(data_dir, f"{stem}-images.idx"))
@@ -185,9 +201,10 @@ class TestPrepareData:
         (("--demo-size", "40", "--syn-params-file", "brightness-inf.txt"), 2),
         (("--demo-size", "40", "--syn-params-file", "contrast-inf.txt"), 2),
         (("--demo-size", "40", "--syn-params-file", "brightness-huge.txt"), 2),
+        (("--demo-size", "40", "--syn-params-file", "not-utf8.txt"), 1),
     ], ids=["demo-size", "subsample", "val", "params-missing", "params-key",
             "params-duplicate", "shear-inf", "shear-nan", "shear-huge",
-            "brightness-inf", "contrast-inf", "brightness-huge"])
+            "brightness-inf", "contrast-inf", "brightness-huge", "params-not-utf8"])
     def test_bad_argument_rejected_before_corpus(self, tmp_path, capsys,
                                                  bad, code):
         (tmp_path / "unknown-key.txt").write_text("flip_prob = 0.5\nbogus = 1\n")
@@ -200,11 +217,15 @@ class TestPrepareData:
                            ("contrast-inf", "contrast_hi = inf"),
                            ("brightness-huge", "brightness_hi = 1e308")):
             (tmp_path / f"{name}.txt").write_text(line + "\n")
+        # 0xe9 is Latin-1's e-acute, a byte no UTF-8 text holds alone
+        (tmp_path / "not-utf8.txt").write_bytes(b"flip_prob = 0.5 # caf\xe9\n")
         bad = [str(tmp_path / a) if a.endswith(".txt") else a for a in bad]
         raw, out = tmp_path / "raw", tmp_path / "prep"
         assert run("prepare-data", "--mnist-dir", str(raw),
                    "--out-dir", str(out), *bad) == code
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert all(a in err[0] for a in bad if a.endswith("not-utf8.txt"))
         assert not raw.exists() and not out.exists()
 
 
@@ -238,7 +259,8 @@ class TestPrepareData:
 
 class TestTrainSource:
     def test_artifacts(self, source_run, tiny_cfg_path):
-        assert os.path.exists(os.path.join(source_run, "source.npz"))
+        assert sorted(os.listdir(source_run)) == [
+            "config-resolved.txt", "source-loss.csv", "source.npz"]
         csv = open(os.path.join(source_run, "source-loss.csv")).read()
         assert csv.startswith("epoch,loss\n")
         assert len(csv.strip().splitlines()) == 1 + 3
@@ -305,8 +327,11 @@ class TestAdaptEvaluate:
         nn.save_checkpoint(net, want / "adapted.npz",
                            meta={"phase": "adapted", "loss": loss,
                                  "sampling": strategy, "seed": cfg.seed})
-        engine._write_loss_csv(str(want / "adapt-loss.csv"), history)
+        (want / "adapt-loss.csv").write_text(
+            "epoch,loss\n" + "".join(f"{i},{v:.12g}\n" for i, v in enumerate(history)))
 
+        assert sorted(os.listdir(run_dir)) == [
+            "adapt-loss.csv", "adapted.npz", "config-resolved.txt"]
         assert len(history) == 3
         with np.load(run_dir / "adapted.npz") as got, \
                 np.load(want / "adapted.npz") as ref:
@@ -412,16 +437,19 @@ class TestBaselineGrid:
                  tiny_cfg_path, "--data-dir", prep_dir,
                  "--run-dir", str(tmp_path))
         assert rc == 0
-        assert os.path.exists(os.path.join(tmp_path, "baseline-finetune_n2.json"))
+        assert sorted(os.listdir(tmp_path)) == [
+            "baseline-finetune_n2.json", "config-resolved.txt", "report.csv", "report.txt"]
         assert (config.load(os.path.join(tmp_path, "config-resolved.txt"))
                 == config.load(tiny_cfg_path))
 
     def test_grid_search_writes_best_config(self, prep_dir, tiny_cfg_path,
-                                            tmp_path):
+                                            tmp_path, capsys):
         rc = run("grid-search", "--config", tiny_cfg_path,
                  "--data-dir", prep_dir, "--lrs", "0.001,0.01",
                  "--weight-decays", "0", "--run-dir", str(tmp_path))
         assert rc == 0
+        assert os.listdir(tmp_path) == ["best-config.txt"]
+        assert os.path.join(tmp_path, "best-config.txt") in capsys.readouterr().out
         best = config.load(os.path.join(tmp_path, "best-config.txt"))
         assert best.lr in (0.001, 0.01)
         assert best.weight_decay == 0.0
@@ -506,6 +534,9 @@ class TestReproduce:
         assert rc == 0
         out = capsys.readouterr().out
         assert "CLS+KL" in out and "CORAL" in out
+        files = tree_bytes(first)
+        assert set(files) == reproduce_files(1)
+        assert out.encode() == files["report.txt"]
         report = open(os.path.join(first, "report.csv"), "rb").read()
         assert report.decode().count("\n") == 15  # header + 14 method rows
         # the experiment sets the model and nothing else
@@ -763,6 +794,16 @@ class TestExitCodes:
                    "--run-dir", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert "line 2" in err and repr(key) in err
+
+    def test_config_not_utf8_exits_1_naming_it(self, prep_dir, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"seed = 1\n# caf\xe9\n")
+        run_dir = tmp_path / "run"
+        assert run("train-source", "--config", str(bad), "--data-dir", prep_dir,
+                   "--run-dir", str(run_dir)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"configuration error: {bad}: byte 14 is not UTF-8 text"]
+        assert not run_dir.exists()
 
     def test_unknown_config_key(self, prep_dir, tmp_path):
         bad = os.path.join(tmp_path, "bad.cfg")

@@ -948,8 +948,9 @@ class TestReproduce:
     def test_ensure_pretrained_idempotent(self, tmp_path):
         bundle = blob_bundle(n_train=40, n_test=20)
         cfg = quick_cfg(source_epochs=2)
-        os.makedirs(tmp_path / "checkpoints")
-        first = engine.ensure_pretrained(bundle, cfg, str(tmp_path), 0)
+        digest = engine.data_digest(bundle)
+        first = engine.ensure_pretrained(bundle, cfg, str(tmp_path), 0, digest)
         stamp = os.path.getmtime(first)
-        second = engine.ensure_pretrained(bundle, cfg, str(tmp_path), 0)
+        second = engine.ensure_pretrained(bundle, cfg, str(tmp_path), 0, digest)
         assert first == second and os.path.getmtime(second) == stamp
+        assert sorted(os.listdir(tmp_path)) == ["checkpoints", "source-loss-trial0.csv"]
