@@ -176,7 +176,7 @@ def read_idx(path, rescale=True):
     if len(raw) < header_end:
         raise TruncatedFile(f"{path}: header declares rank {rank} but file is short")
     dims = struct.unpack(f">{rank}I", raw[4:header_end])
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    count = math.prod(dims)
     if len(raw) < header_end + count:
         raise TruncatedFile(
             f"{path}: expected {count} data bytes, found {len(raw) - header_end}")

@@ -168,7 +168,7 @@ def _train(net, ds, cfg, seed, tag, epochs, align=None, min_rows=1,
     return history
 
 
-def train_source(net, source_train, cfg, seed=None, checkpoint_path=None,
+def train_source(net, source_train, cfg, seed, checkpoint_path=None,
                  digest=None):
     """Phase 1: train the encoder-less classifier on the source domain.
 
@@ -177,7 +177,6 @@ def train_source(net, source_train, cfg, seed=None, checkpoint_path=None,
     """
     if net.encoder is not None:
         raise nn.EncoderAlreadyPresent("phase-1 training expects no encoder")
-    seed = cfg.seed if seed is None else seed
     history = _train(net, source_train, cfg, seed, "source", cfg.source_epochs)
     if checkpoint_path is not None:
         meta = {"phase": "source", "seed": seed, "config_hash": config_hash(cfg)}
@@ -187,7 +186,7 @@ def train_source(net, source_train, cfg, seed=None, checkpoint_path=None,
     return net, history
 
 
-def adapt(net, target_train, sampler, cfg, seed=None):
+def adapt(net, target_train, sampler, cfg, seed):
     """Phase 2: insert the encoder and align target features to source.
 
     The objective is cfg.loss with weight cfg.align_weight; a loss that
@@ -198,27 +197,27 @@ def adapt(net, target_train, sampler, cfg, seed=None):
     Features; from the set, f(T) is computed once, before the first
     epoch.  Each step runs the
     encoder and N2 on its rows of them, and backpropagates through N2
-    (input gradients only) into the encoder.  Batches too small for the
-    alignment term are skipped.  Stops on the epoch-loss delta falling
-    under cfg.stop_threshold or after cfg.max_adapt_epochs.
+    (input gradients only) into the encoder; a loss with no alignment
+    term (plain cls) draws nothing and adds no split gradient.  Batches
+    too small for the alignment term are skipped.  Stops on the
+    epoch-loss delta falling under cfg.stop_threshold or after
+    cfg.max_adapt_epochs.
     """
-    seed = cfg.seed if seed is None else seed
     loss = losses.LOSSES[cfg.loss]
     if loss.needs_sampler and sampler is None:
         raise EngineError(f"loss {cfg.loss!r} needs a feature sampler")
     nn.build_encoder(net, seed, noise_scale=cfg.encoder_noise)
-    nn.set_frozen(net, ("n1", "n2"), True)
+    nn.freeze(net, ("n1", "n2"))
     weight = cfg.align_weight
 
     def align(split, n):
         flat = split.reshape(n, -1)
-        ref = sampler.draw(n) if loss.needs_sampler else flat
-        value, grad = losses.alignment(cfg.loss, ref, flat)
+        value, grad = losses.alignment(cfg.loss, sampler.draw(n), flat)
         return weight * value, (weight * grad).reshape(split.shape)
 
     history = _train(net, target_train, cfg, seed, "adapt", cfg.max_adapt_epochs,
-                     align=align, min_rows=loss.min_rows,
-                     stop_threshold=cfg.stop_threshold)
+                     align=align if loss.needs_sampler else None,
+                     min_rows=loss.min_rows, stop_threshold=cfg.stop_threshold)
     return net, history
 
 
@@ -249,7 +248,7 @@ class Trial:
     """
 
     def __init__(self, net, bundle, splits, history=()):
-        nn.set_frozen(net, ("n1",), True)
+        nn.freeze(net, ("n1",))
         self.features = DomainData(**{
             name: evaluate.features(net, getattr(bundle, name)) if name in splits
             else None for name in SPLITS})
@@ -258,7 +257,7 @@ class Trial:
         self.lanes = 1 if net.holds_conv() else nn.LANES
 
     @classmethod
-    def start(cls, bundle, cfg, seed, pretrained_path=None, splits=SPLITS):
+    def start(cls, bundle, cfg, seed, pretrained_path, splits):
         """The Trial of the checkpoint at `pretrained_path`, which must
         exist and hold no encoder, or of a phase-1 model trained here when
         it is None."""
@@ -293,7 +292,7 @@ def _target_step(_, bundle, cfg, seed):
 
 
 def _finetune_step(net, bundle, cfg, seed):
-    nn.set_frozen(net, ("n1",), True)
+    # `net` is `Trial.network()`, whose N1 is frozen already
     return net, _train(net, bundle.target_train, cfg, seed, "finetune",
                        cfg.max_adapt_epochs, stop_threshold=cfg.stop_threshold)
 
@@ -369,7 +368,6 @@ def _run(method, bundle, cfg, seed, pretrained_path, trial=None):
     Without `trial`, a method that starts from phase 1 makes one from
     `pretrained_path` (see `Trial.start`) over just the splits it reads.
     """
-    seed = cfg.seed if seed is None else seed
     started = time.perf_counter()
     entry = _method(method)
     if entry.pretrained and trial is None:
@@ -392,13 +390,13 @@ def _run(method, bundle, cfg, seed, pretrained_path, trial=None):
     )
 
 
-def run_lrsdag(bundle, cfg, seed=None, pretrained_path=None, trial=None):
+def run_lrsdag(bundle, cfg, seed, pretrained_path=None, trial=None):
     """Pretrain (or load, or take from `trial`), adapt with
     cfg.loss/cfg.sampling, evaluate."""
     return _run("lrsdag", bundle, cfg, seed, pretrained_path, trial)
 
 
-def run_baseline(kind, bundle, cfg, seed=None, pretrained_path=None, trial=None):
+def run_baseline(kind, bundle, cfg, seed, pretrained_path=None, trial=None):
     """Run one of the three reference procedures and evaluate it."""
     if kind not in BASELINE_KINDS:
         raise ConfigError(f"unknown baseline {kind!r}")

@@ -140,10 +140,9 @@ LOSSES = {
 }
 
 def alignment(kind, fS, hfT):
-    """The alignment term of `kind`; (0, zeros) for plain cls."""
-    if kind not in LOSSES:
-        raise LossError(f"unknown loss kind {kind!r}")
-    align = LOSSES[kind].align
+    """The alignment term of `kind`; LossError for a kind that aligns nothing
+    (plain cls) or is unknown."""
+    align = LOSSES[kind].align if kind in LOSSES else None
     if align is None:
-        return 0.0, np.zeros_like(np.asarray(hfT, dtype=np.float64))
+        raise LossError(f"no alignment term for loss kind {kind!r}")
     return align(fS, hfT)

@@ -587,16 +587,11 @@ def build_encoder(network, seed, noise_scale=1e-2):
     return layers
 
 
-def set_frozen(network, blocks, frozen):
-    """Set the freeze flag on every layer of the named blocks."""
+def freeze(network, blocks):
+    """Freeze every layer of the named blocks."""
     for name in blocks:
-        if name not in BLOCK_NAMES:
-            raise NetworkError(f"unknown block {name!r}")
-        if name == "encoder" and network.encoder is None:
-            raise EncoderMissing("cannot freeze encoder: none attached")
         for layer in network.blocks()[name]:
-            layer.frozen = bool(frozen)
-    return network
+            layer.frozen = True
 
 
 class Adam:

@@ -7,13 +7,9 @@ reference batches.  Two strategies are provided: draw from a diagonal
 Gaussian fitted to f(S), or resample rows of f(S) directly.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 STD_FLOOR = 1e-8
-
-SAMPLER_KINDS = ("indirect", "random")
 
 
 class SamplingError(Exception):
@@ -28,54 +24,41 @@ class EmptySource(SamplingError):
     """Random sampling needs a nonempty source feature set."""
 
 
-@dataclass(frozen=True)
-class GaussianParams:
-    """Per-dimension mean and standard deviation of f(S)."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self):
-        if self.mean.shape != self.std.shape or self.mean.ndim != 1:
-            raise SamplingError("mean and std must be matching vectors")
-        if not np.all(self.std > 0):
-            raise SamplingError("std must be positive everywhere")
-
-
-def fit_gaussian(source_features):
-    """Fit a diagonal Gaussian to an N x k feature matrix.
-
-    Uses the population standard deviation (divide by N) and floors it
-    at STD_FLOOR so degenerate dimensions stay sampleable.
-
-    Raises:
-        TooFewExamples: if fewer than two rows are given.
-    """
+def _source_matrix(source_features):
     feats = np.asarray(source_features, dtype=np.float64)
     if feats.ndim != 2:
         raise SamplingError(f"expected an N x k matrix, got shape {feats.shape}")
-    if feats.shape[0] < 2:
-        raise TooFewExamples(f"need at least 2 examples, got {feats.shape[0]}")
-    mean = feats.mean(axis=0)
-    std = np.maximum(feats.std(axis=0), STD_FLOOR)
-    return GaussianParams(mean=mean, std=std)
+    return feats
+
+
+def _check_batch(n):
+    if n < 1:
+        raise SamplingError(f"batch size must be positive, got {n}")
 
 
 class IndirectSampler:
-    """Draws reference features from a fitted diagonal Gaussian."""
+    """Draws reference features from a diagonal Gaussian fitted to f(S).
 
-    kind = "indirect"
+    The fit is the per-dimension mean and population standard deviation
+    (divide by N), floored at STD_FLOOR so degenerate dimensions stay
+    sampleable.
 
-    def __init__(self, params, rng):
-        self.params = params
+    Raises:
+        TooFewExamples: if f(S) has fewer than two rows.
+    """
+
+    def __init__(self, source_features, rng):
+        feats = _source_matrix(source_features)
+        if feats.shape[0] < 2:
+            raise TooFewExamples(f"need at least 2 examples, got {feats.shape[0]}")
+        self.mean = feats.mean(axis=0)
+        self.std = np.maximum(feats.std(axis=0), STD_FLOOR)
         self.rng = rng
 
     def draw(self, n):
-        if n < 1:
-            raise SamplingError(f"batch size must be positive, got {n}")
-        k = self.params.mean.shape[0]
-        noise = self.rng.standard_normal((n, k))
-        return self.params.mean + noise * self.params.std
+        _check_batch(n)
+        noise = self.rng.standard_normal((n, self.mean.shape[0]))
+        return self.mean + noise * self.std
 
 
 class RandomSampler:
@@ -87,29 +70,27 @@ class RandomSampler:
     back to replacement.
     """
 
-    kind = "random"
-
     def __init__(self, source_features, rng):
-        feats = np.asarray(source_features, dtype=np.float64)
-        if feats.ndim != 2:
-            raise SamplingError(f"expected an N x k matrix, got shape {feats.shape}")
+        feats = _source_matrix(source_features)
         if feats.shape[0] == 0:
             raise EmptySource("source feature set is empty")
         self.features = feats
         self.rng = rng
 
     def draw(self, n):
-        if n < 1:
-            raise SamplingError(f"batch size must be positive, got {n}")
+        _check_batch(n)
         count = self.features.shape[0]
         idx = self.rng.choice(count, size=n, replace=n > count)
         return self.features[idx].copy()
 
 
+SAMPLERS = {"indirect": IndirectSampler, "random": RandomSampler}
+
+SAMPLER_KINDS = tuple(SAMPLERS)
+
+
 def make_sampler(kind, source_features, rng):
     """Build a sampler of the given kind over cached source features."""
-    if kind == "indirect":
-        return IndirectSampler(fit_gaussian(source_features), rng)
-    if kind == "random":
-        return RandomSampler(source_features, rng)
-    raise SamplingError(f"unknown sampler kind {kind!r}; choose from {SAMPLER_KINDS}")
+    if kind not in SAMPLERS:
+        raise SamplingError(f"unknown sampler kind {kind!r}; choose from {SAMPLER_KINDS}")
+    return SAMPLERS[kind](source_features, rng)

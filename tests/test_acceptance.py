@@ -260,13 +260,13 @@ def test_criterion_6_sampler_statistics():
     rng = np.random.default_rng(12)
     feats = rng.normal(loc=rng.normal(size=5), scale=rng.uniform(0.5, 3.0, 5),
                        size=(400, 5))
-    params = sampling.fit_gaussian(feats)
+    mean, std = feats.mean(axis=0), feats.std(axis=0)
     n = 100000
-    draws = sampling.IndirectSampler(params, derive_rng(12, "ind")).draw(n)
-    mean_err = np.abs(draws.mean(axis=0) - params.mean)
-    std_err = np.abs(draws.std(axis=0) - params.std)
-    mean_bound = 4.0 * params.std / np.sqrt(n)
-    std_bound = 4.0 * params.std / np.sqrt(2.0 * n)
+    draws = sampling.IndirectSampler(feats, derive_rng(12, "ind")).draw(n)
+    mean_err = np.abs(draws.mean(axis=0) - mean)
+    std_err = np.abs(draws.std(axis=0) - std)
+    mean_bound = 4.0 * std / np.sqrt(n)
+    std_bound = 4.0 * std / np.sqrt(2.0 * n)
     ok_mean = bool(np.all(mean_err <= mean_bound))
     ok_std = bool(np.all(std_err <= std_bound))
 

@@ -811,6 +811,17 @@ class TestExitCodes:
         assert run("train-source", "--config", bad, "--data-dir", prep_dir,
                    "--run-dir", str(tmp_path)) == 1
 
+    def test_overflowing_idx_dims_exit_2(self, prep_dir, tmp_path, capsys):
+        # two dimensions of 2**32 - 1 multiply past 2**63
+        data_dir = tmp_path / "data"
+        shutil.copytree(prep_dir, data_dir)
+        (data_dir / "source-train-images.idx").write_bytes(
+            bytes([0, 0, 8, 2]) + b"\xff" * 8 + bytes(16))
+        assert run("train-source", "--data-dir", str(data_dir),
+                   "--run-dir", str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "expected 18446744065119617025 data bytes" in err[0]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, prep_dir, tmp_path):
         cfg = os.path.join(tmp_path, "div.cfg")

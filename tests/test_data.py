@@ -72,6 +72,14 @@ class TestReadIdx:
         with pytest.raises(data.TruncatedFile):
             data.read_idx(path)
 
+    def test_dims_overflowing_int64(self, tmp_path):
+        # (2**32 - 1)**2 bytes declared: the size must not wrap
+        path = tmp_path / "huge.idx"
+        path.write_bytes(struct.pack(">BBBB", 0, 0, 0x08, 2)
+                         + struct.pack(">II", 2**32 - 1, 2**32 - 1) + bytes(16))
+        with pytest.raises(data.TruncatedFile, match=f"expected {(2**32 - 1)**2} "):
+            data.read_idx(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "magic.idx"
         path.write_bytes(struct.pack(">BBBB", 1, 0, 0x08, 1)

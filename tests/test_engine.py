@@ -79,14 +79,14 @@ class TestTrainSource:
         net = engine.build_model("fcn", seed=5)
         before = engine.checksum(net)
         _, history = engine.train_source(net, blob_dataset(40, seed=6),
-                                         quick_cfg(source_epochs=0))
+                                         quick_cfg(source_epochs=0), seed=0)
         assert history == []
         assert engine.checksum(net) == before
 
     def test_reaches_full_train_accuracy_on_separable_data(self):
         ds = blob_dataset(100, seed=7)
         net = engine.build_model("fcn", seed=8)
-        _, history = engine.train_source(net, ds, quick_cfg(source_epochs=12))
+        _, history = engine.train_source(net, ds, quick_cfg(source_epochs=12), seed=0)
         assert evaluate.accuracy(net, ds) == 100.0
         assert history[-1] <= history[0]
 
@@ -94,14 +94,14 @@ class TestTrainSource:
         net = engine.build_model("fcn", seed=9)
         nn.build_encoder(net, seed=9)
         with pytest.raises(nn.EncoderAlreadyPresent):
-            engine.train_source(net, blob_dataset(20, seed=0), quick_cfg())
+            engine.train_source(net, blob_dataset(20, seed=0), quick_cfg(), seed=0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_epoch(self):
         net = engine.build_model("fcn", seed=10)
         with pytest.raises(engine.NonFiniteLoss) as err:
             engine.train_source(net, blob_dataset(40, seed=1),
-                                quick_cfg(lr=1e200, source_epochs=2))
+                                quick_cfg(lr=1e200, source_epochs=2), seed=0)
         assert isinstance(err.value.epoch, int)
 
     def test_checkpoint_persisted(self, tmp_path):
@@ -186,6 +186,24 @@ class TestAdapt:
                                   seed=0)
         assert np.isfinite(history).all()
 
+    @pytest.mark.parametrize("kind,aligned", [("cls", 0), ("cls_kl", 1)])
+    def test_cls_computes_no_alignment(self, pretrained, monkeypatch, kind, aligned):
+        """Plain cls draws no reference rows and makes no alignment call,
+        even with a sampler at hand; cls_kl shows that the counts count."""
+        path, bundle = pretrained
+        net, _ = nn.load_checkpoint(path)
+        feats = evaluate.feature_matrix(net, bundle.source_train)
+        sampler = sampling.make_sampler("indirect", feats, derive_rng(5, "s"))
+        calls = []
+        for owner, name in ((losses, "alignment"), (sampler, "draw")):
+            orig = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _orig=orig, _name=name:
+                                calls.append(_name) or _orig(*a))
+        cfg = quick_cfg(loss=kind, max_adapt_epochs=2)
+        _, history = engine.adapt(net, bundle.target_train, sampler, cfg, seed=0)
+        steps = len(history) * int(np.ceil(len(bundle.target_train) / cfg.batch_size))
+        assert steps and calls == ["draw", "alignment"] * steps * aligned
+
     def test_needs_sampler_enforced(self, pretrained):
         path, _ = pretrained
         net, _ = nn.load_checkpoint(path)
@@ -254,7 +272,7 @@ def reference_adapt(net, ds, sampler, cfg, seed):
     runs forward on the images of every batch in every epoch."""
     needs_sampler = losses.LOSSES[cfg.loss].needs_sampler
     nn.build_encoder(net, seed, noise_scale=cfg.encoder_noise)
-    nn.set_frozen(net, ("n1", "n2"), True)
+    nn.freeze(net, ("n1", "n2"))
     opt = nn.Adam(net.all_params(("encoder",)), lr=cfg.lr,
                   weight_decay=cfg.weight_decay)
     shuffle_seed = derive_int(seed, "epochs", "adapt")
@@ -267,8 +285,11 @@ def reference_adapt(net, ds, sampler, cfg, seed):
                 continue
             split, logits = net.forward(images, use_encoder=True)
             flat = split.reshape(len(labels), -1)
-            ref = sampler.draw(len(labels)) if needs_sampler else flat
-            align_value, align_grad = losses.alignment(cfg.loss, ref, flat)
+            if needs_sampler:
+                align_value, align_grad = losses.alignment(
+                    cfg.loss, sampler.draw(len(labels)), flat)
+            else:  # plain cls aligns nothing: an explicit zero gradient
+                align_value, align_grad = 0.0, np.zeros_like(flat)
             value = cfg.align_weight * align_value + tc.cross_entropy(logits, labels)
             net.backward(tc.cross_entropy_grad(logits, labels), use_encoder=True,
                          split_grad=(cfg.align_weight * align_grad).reshape(split.shape))
@@ -336,7 +357,7 @@ class TestAdaptMatchesPerBatchReference:
 class TestBaselines:
     def test_source_trained_record_shape(self, pretrained):
         path, bundle = pretrained
-        rec = engine.run_baseline("source_trained", bundle, quick_cfg(),
+        rec = engine.run_baseline("source_trained", bundle, quick_cfg(), seed=0,
                                   pretrained_path=path)
         assert rec.method == "Source only" and rec.strategy == "-"
         assert set(rec.report.accuracy) == set(evaluate.CELLS)
@@ -349,11 +370,11 @@ class TestBaselines:
         n1_before = engine.checksum(net, blocks=("n1",))
         n2_before = engine.checksum(net, blocks=("n2",))
         engine.run_baseline("finetune_n2", bundle, quick_cfg(max_adapt_epochs=2),
-                            pretrained_path=path)
+                            seed=0, pretrained_path=path)
         # re-run the underlying fit to inspect the trained network
         cfg = quick_cfg(max_adapt_epochs=2)
         fitted, _ = engine._fit(bundle, cfg, "finetune_n2", 0,
-                                engine.Trial.start(bundle, cfg, 0, path))
+                                engine.Trial.start(bundle, cfg, 0, path, engine.SPLITS))
         assert engine.checksum(fitted, blocks=("n1",)) == n1_before
         assert engine.checksum(fitted, blocks=("n2",)) != n2_before
 
@@ -364,12 +385,12 @@ class TestBaselines:
                                    target_train=bundle.target_train,
                                    target_test=bundle.target_test)
         rec = engine.run_baseline("target_trained", bundle,
-                                  quick_cfg(source_epochs=3))
+                                  quick_cfg(source_epochs=3), seed=0)
         assert rec.method == "Target only"
 
     def test_unknown_kind(self):
         with pytest.raises(engine.ConfigError):
-            engine.run_baseline("oracle", blob_bundle(), quick_cfg())
+            engine.run_baseline("oracle", blob_bundle(), quick_cfg(), seed=0)
 
     def test_empty_target_set_is_engine_error(self, pretrained):
         path, bundle = pretrained
@@ -378,7 +399,7 @@ class TestBaselines:
             target_train=bundle.target_train.select(np.arange(0)),
             target_test=bundle.target_test)
         with pytest.raises(engine.EngineError, match="blobs train set is empty"):
-            engine.run_baseline("finetune_n2", empty, quick_cfg(),
+            engine.run_baseline("finetune_n2", empty, quick_cfg(), seed=0,
                                 pretrained_path=path)
 
 
@@ -405,9 +426,11 @@ class TestEncoderCheckpointRejected:
                             lambda *a, **k: pytest.fail("ran N1"))
         with pytest.raises(nn.EncoderAlreadyPresent, match=re.escape(path)):
             if start == "lrsdag":
-                engine.run_lrsdag(bundle, quick_cfg(loss="cls"), pretrained_path=path)
+                engine.run_lrsdag(bundle, quick_cfg(loss="cls"), seed=0,
+                                  pretrained_path=path)
             elif start == "source_trained":
-                engine.run_baseline(start, bundle, quick_cfg(), pretrained_path=path)
+                engine.run_baseline(start, bundle, quick_cfg(), seed=0,
+                                    pretrained_path=path)
             else:
                 engine.grid_search([1e-3], [0.0], bundle,
                                    blob_dataset(30, seed=26, split="val"),
@@ -423,14 +446,14 @@ class TestFreezeCheck:
         ckpt, block = tamper_frozen(case, path)
         with pytest.raises(engine.EngineError, match=f"frozen block {block}"):
             engine.run_lrsdag(bundle, quick_cfg(loss="cls", max_adapt_epochs=2),
-                              pretrained_path=ckpt)
+                              seed=0, pretrained_path=ckpt)
 
     def test_n1_signed_zero_fails_finetune(self, pretrained, tamper_frozen):
         path, bundle = pretrained
         ckpt, _ = tamper_frozen("n1_signed_zero", path)
         with pytest.raises(engine.EngineError, match="frozen block n1"):
             engine.run_baseline("finetune_n2", bundle,
-                                quick_cfg(max_adapt_epochs=2),
+                                quick_cfg(max_adapt_epochs=2), seed=0,
                                 pretrained_path=ckpt)
 
 
@@ -458,10 +481,10 @@ class TestOptimizerSplit:
         cfg = quick_cfg(loss="cls", source_epochs=1, max_adapt_epochs=1)
         if fit == "phase1":
             net, _ = engine.train_source(engine.build_model("fcn", seed=1),
-                                         bundle.source_train, cfg)
+                                         bundle.source_train, cfg, seed=0)
         else:
             net, _ = engine._fit(bundle, cfg, fit, 0,
-                                 engine.Trial.start(bundle, cfg, 0, path))
+                                 engine.Trial.start(bundle, cfg, 0, path, engine.SPLITS))
         [opt] = built
         expected = net.all_params(blocks)
         assert len(opt.params) == len(expected) == len({id(p) for p in opt.params})
@@ -939,9 +962,9 @@ class TestReproduce:
                             rows.append(len(batch)) or orig(net, batch))
         cfg = quick_cfg(loss=loss, max_adapt_epochs=2)
         if method == "lrsdag":
-            engine.run_lrsdag(bundle, cfg, pretrained_path=path)
+            engine.run_lrsdag(bundle, cfg, seed=0, pretrained_path=path)
         else:
-            engine.run_baseline(method, bundle, cfg, pretrained_path=path)
+            engine.run_baseline(method, bundle, cfg, seed=0, pretrained_path=path)
         assert sum(rows) == sum(len(getattr(bundle, name))
                                 for name in reads + engine.TEST_SPLITS)
 

@@ -312,7 +312,7 @@ class TestFrozenBackward:
     def test_walk_stops_at_split_when_n1_frozen(self):
         net = nn.build_cnn(seed=0)
         nn.build_encoder(net, seed=1)
-        nn.set_frozen(net, ("n1", "n2"), True)
+        nn.freeze(net, ("n1", "n2"))
         x = np.random.default_rng(5).normal(size=(2, 1, 32, 32))
         labels = np.array([3, 7])
         _, logits = net.forward(x, use_encoder=True)
@@ -336,10 +336,10 @@ def fit_network(build, fit):
     net = build(seed=0)
     use_encoder = fit == "adapt"
     if fit != "phase1":
-        nn.set_frozen(net, ("n1",), True)
+        nn.freeze(net, ("n1",))
     if use_encoder:
         nn.build_encoder(net, seed=1)
-        nn.set_frozen(net, ("n2",), True)
+        nn.freeze(net, ("n2",))
     return net, use_encoder
 
 
@@ -417,29 +417,13 @@ class TestFreezing:
     def test_frozen_blocks_bit_identical(self):
         net = nn.build_fcn(seed=0)
         nn.build_encoder(net, seed=1)
-        nn.set_frozen(net, ("n1", "n2"), True)
+        nn.freeze(net, ("n1", "n2"))
         raw = net.param_bytes(("n1", "n2"))
         x = np.random.default_rng(8).normal(size=(16, 1024))
         labels = np.random.default_rng(9).integers(0, 10, size=16)
         self._train_steps(net, 10, x, labels)
         assert net.param_bytes(("n1", "n2")) == raw
         assert net.param_bytes(("encoder",)) != nn.build_fcn(seed=0).param_bytes(("n1",))
-
-    def test_unfreeze_resumes(self):
-        net = nn.build_fcn(seed=0)
-        nn.set_frozen(net, ("n1",), True)
-        raw = net.param_bytes(("n1",))
-        x = np.random.default_rng(10).normal(size=(8, 1024))
-        labels = np.random.default_rng(11).integers(0, 10, size=8)
-        self._train_steps(net, 3, x, labels)
-        assert net.param_bytes(("n1",)) == raw
-        nn.set_frozen(net, ("n1",), False)
-        self._train_steps(net, 3, x, labels)
-        assert net.param_bytes(("n1",)) != raw
-
-    def test_freeze_missing_encoder(self):
-        with pytest.raises(nn.EncoderMissing):
-            nn.set_frozen(nn.build_fcn(seed=0), ("encoder",), True)
 
 
 def where_relu_forward(self, x, keep=True):
@@ -545,7 +529,7 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = nn.build_cnn(seed=4)
         nn.build_encoder(net, seed=5)
-        nn.set_frozen(net, ("n1", "n2"), True)
+        nn.freeze(net, ("n1", "n2"))
         path = tmp_path / "model.npz"
         nn.save_checkpoint(net, path, meta={"phase": "adapted", "seed": 4})
         loaded, meta = nn.load_checkpoint(path)
@@ -591,7 +575,7 @@ class TestCheckpoint:
     def test_cnn_with_encoder_reload_identical(self, tmp_path):
         net = nn.build_cnn(seed=4)
         nn.build_encoder(net, seed=5, noise_scale=0.1)
-        nn.set_frozen(net, ("n1", "n2"), True)
+        nn.freeze(net, ("n1", "n2"))
         path = tmp_path / "cnn.npz"
         nn.save_checkpoint(net, path)
         loaded, _ = nn.load_checkpoint(path)
@@ -608,7 +592,7 @@ class TestCheckpoint:
         # must keep reading them
         net = nn.build_fcn(seed=0)
         nn.build_encoder(net, seed=1)
-        nn.set_frozen(net, ("n1", "n2"), True)
+        nn.freeze(net, ("n1", "n2"))
         path = tmp_path / "fcn.npz"
         nn.save_checkpoint(net, path, meta={"phase": "adapted", "seed": 0})
         with np.load(path) as stored:
@@ -775,7 +759,7 @@ class TestConvChunks:
         x[:, 0, 0, 0] = np.arange(len(x))  # each image's mark
         # the kept columns are one (K, B, Ho*Wo) array, each slice in its place
         ref = np.empty((9, len(x), 25))
-        orig(x, 3, 3, 1, 1, ref)
+        orig(x, 3, 3, 1, 1, ref, np.zeros((len(x), 1, 7, 7)))
         for lanes in LANE_COUNTS:
             monkeypatch.setattr(nn, "LANES", lanes)
 

@@ -5,56 +5,60 @@ from lrsdag import sampling
 from lrsdag.seeding import derive_rng
 
 
+# rows that fit N(0, 1) exactly in every dimension: mean 0, population std 1
+UNIT_ROWS = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
+
+
 class TestFitGaussian:
+    """The diagonal Gaussian IndirectSampler fits to f(S)."""
+
     def test_hand_statistics(self):
-        params = sampling.fit_gaussian(np.array([[0.0], [2.0]]))
-        assert params.mean[0] == pytest.approx(1.0)
-        assert params.std[0] == pytest.approx(1.0)
+        sampler = sampling.IndirectSampler(np.array([[0.0], [2.0]]), derive_rng(0))
+        assert sampler.mean[0] == pytest.approx(1.0)
+        assert sampler.std[0] == pytest.approx(1.0)
 
     def test_degenerate_rows_hit_floor(self):
-        params = sampling.fit_gaussian(np.full((5, 3), 7.25))
-        np.testing.assert_array_equal(params.mean, np.full(3, 7.25))
-        np.testing.assert_array_equal(params.std, np.full(3, sampling.STD_FLOOR))
+        sampler = sampling.IndirectSampler(np.full((5, 3), 7.25), derive_rng(0))
+        np.testing.assert_array_equal(sampler.mean, np.full(3, 7.25))
+        np.testing.assert_array_equal(sampler.std, np.full(3, sampling.STD_FLOOR))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(32, 6))
         perm = rng.permutation(32)
-        a = sampling.fit_gaussian(feats)
-        b = sampling.fit_gaussian(feats[perm])
+        a = sampling.IndirectSampler(feats, derive_rng(0))
+        b = sampling.IndirectSampler(feats[perm], derive_rng(0))
         np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12)
         np.testing.assert_allclose(a.std, b.std, rtol=1e-12)
 
     def test_too_few_examples(self):
         with pytest.raises(sampling.TooFewExamples):
-            sampling.fit_gaussian(np.zeros((1, 4)))
+            sampling.IndirectSampler(np.zeros((1, 4)), derive_rng(0))
 
 
 class TestIndirectSampler:
     def test_floor_std_collapses_to_mean(self):
-        params = sampling.fit_gaussian(np.full((4, 2), 3.0))
-        sampler = sampling.IndirectSampler(params, derive_rng(0, "indirect"))
+        sampler = sampling.IndirectSampler(np.full((4, 2), 3.0), derive_rng(0, "indirect"))
         draws = sampler.draw(50)
         assert draws.shape == (50, 2)
         assert np.max(np.abs(draws - 3.0)) < 1e-6
 
     def test_clt_mean_bound(self):
         # 4-sigma Monte-Carlo bound on the empirical mean: 4 / sqrt(n).
-        params = sampling.GaussianParams(mean=np.zeros(1), std=np.ones(1))
-        sampler = sampling.IndirectSampler(params, derive_rng(1, "indirect"))
+        sampler = sampling.IndirectSampler(UNIT_ROWS[:, :1], derive_rng(1, "indirect"))
         draws = sampler.draw(100_000)
         assert abs(draws.mean()) < 4 / np.sqrt(100_000)
 
     def test_determinism(self):
-        params = sampling.GaussianParams(mean=np.zeros(3), std=np.ones(3))
-        a = sampling.IndirectSampler(params, derive_rng(7, "s")).draw(16)
-        b = sampling.IndirectSampler(params, derive_rng(7, "s")).draw(16)
+        a = sampling.IndirectSampler(UNIT_ROWS, derive_rng(7, "s")).draw(16)
+        b = sampling.IndirectSampler(UNIT_ROWS, derive_rng(7, "s")).draw(16)
         np.testing.assert_array_equal(a, b)
+        # N(0, 1) draws are the generator's own normals
+        np.testing.assert_array_equal(a, derive_rng(7, "s").standard_normal((16, 3)))
 
     def test_rejects_empty_batch(self):
-        params = sampling.GaussianParams(mean=np.zeros(2), std=np.ones(2))
         with pytest.raises(sampling.SamplingError):
-            sampling.IndirectSampler(params, derive_rng(0)).draw(0)
+            sampling.IndirectSampler(UNIT_ROWS, derive_rng(0)).draw(0)
 
 
 class TestRandomSampler:
@@ -93,17 +97,23 @@ class TestFactory:
     def test_indirect_recovers_fitted_params(self):
         rng = np.random.default_rng(6)
         feats = rng.normal(loc=2.0, scale=1.5, size=(500, 3))
-        fitted = sampling.fit_gaussian(feats)
+        mean, std = feats.mean(axis=0), feats.std(axis=0)
         sampler = sampling.make_sampler("indirect", feats, derive_rng(11, "fit"))
         draws = sampler.draw(100_000)
-        mean_bound = 4 * fitted.std / np.sqrt(100_000)
-        std_bound = 4 * fitted.std / np.sqrt(2 * 100_000)
-        assert np.all(np.abs(draws.mean(axis=0) - fitted.mean) < mean_bound)
-        assert np.all(np.abs(draws.std(axis=0) - fitted.std) < std_bound)
+        mean_bound = 4 * std / np.sqrt(100_000)
+        std_bound = 4 * std / np.sqrt(2 * 100_000)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) < mean_bound)
+        assert np.all(np.abs(draws.std(axis=0) - std) < std_bound)
 
     def test_random_kind(self):
         sampler = sampling.make_sampler("random", np.zeros((4, 2)), derive_rng(0))
-        assert sampler.kind == "random"
+        assert isinstance(sampler, sampling.RandomSampler)
+        assert sampling.SAMPLER_KINDS == ("indirect", "random")
+
+    @pytest.mark.parametrize("kind", sampling.SAMPLER_KINDS)
+    def test_rejects_non_matrix(self, kind):
+        with pytest.raises(sampling.SamplingError, match="N x k matrix"):
+            sampling.make_sampler(kind, np.zeros(4), derive_rng(0))
 
     def test_unknown_kind(self):
         with pytest.raises(sampling.SamplingError):

@@ -119,7 +119,9 @@ def image_major_conv(x, w, b, stride, padding, dout):
     dmat = dout.reshape(n, c_out, -1)
     dw = (dmat.transpose(1, 0, 2).reshape(c_out, -1)
           @ cols.transpose(1, 0, 2).reshape(k, -1).T).reshape(w.shape)
-    dx = tc.col2im(weight.T @ dmat, x.shape, kh, kw, stride, padding)
+    # col2im zeroes the grid it is handed
+    dx = tc.col2im(weight.T @ dmat, x.shape, kh, kw, stride, padding,
+                   np.full(xp.shape, np.nan))
     return out, dx, dw, dout.sum(axis=(0, 2, 3))
 
 
@@ -151,13 +153,19 @@ class TestConv2dBits:
         assert layer.backward(dout).tobytes() == ref[1].tobytes()
 
 
+def padded_grid(x, padding):
+    """A zeroed grid for `im2col` to pad x into."""
+    b, c, h, w = x.shape
+    return np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+
+
 def fresh_columns(x, kh, kw, stride, padding):
     """im2col's columns for x in a fresh (C*kh*kw, B, h_out*w_out) array."""
     _, c, h, w = x.shape
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
     cols = np.full((c * kh * kw, len(x), h_out * w_out), np.nan)
-    tc.im2col(x, kh, kw, stride, padding, cols)
+    tc.im2col(x, kh, kw, stride, padding, cols, padded_grid(x, padding))
     return cols
 
 
@@ -183,7 +191,7 @@ class TestIm2col:
         ref = fresh_columns(x, 3, 3, stride, padding)
         wide = np.random.default_rng(31).normal(size=(18, 8, ref.shape[2]))
         before = wide.copy()
-        tc.im2col(x, 3, 3, stride, padding, wide[:, 3:6])
+        tc.im2col(x, 3, 3, stride, padding, wide[:, 3:6], padded_grid(x, padding))
         assert wide[:, 3:6].tobytes() == ref.tobytes()
         others = np.r_[0:3, 6:8]
         assert wide[:, others].tobytes() == before[:, others].tobytes()
